@@ -11,7 +11,8 @@
 #ifndef GA_BFT_EIG_H
 #define GA_BFT_EIG_H
 
-#include <map>
+#include <cstdint>
+#include <span>
 
 #include "bft/session.h"
 
@@ -37,19 +38,38 @@ public:
     [[nodiscard]] const std::vector<Value>& agreed_vector() const override;
 
 private:
-    using Path = std::vector<common::Processor_id>;
+    /// One tree node: `length` bytes at `offset` in arena_, or absent.
+    /// Absent and empty nodes both resolve as bottom.
+    struct Slot {
+        std::uint32_t offset = k_absent;
+        std::uint32_t length = 0;
+    };
+    static constexpr std::uint32_t k_absent = 0xffffffffU;
 
+    [[nodiscard]] bool present(int k, std::size_t index) const;
+    void write(int k, std::size_t index, Slot slot);
+    void write_bytes(int k, std::size_t index, std::span<const std::uint8_t> bytes);
+    [[nodiscard]] bool same(Slot a, Slot b) const;
+    void decode_path(int k, std::size_t index);
+    [[nodiscard]] bool on_path(int k, common::Processor_id id) const;
+    Slot resolve(int k, std::size_t index);
     void resolve_all();
-    Value resolve(const Path& path) const;
-    [[nodiscard]] bool valid_path(const Path& path, std::size_t expected_len) const;
 
     int n_;
     int f_;
     common::Processor_id self_;
     Value input_;
-    // tree_[path] = value attributed to the node labelled by `path`
-    // (path = [p1..pk] reads: pk said that p(k-1) said ... that p1's input is v).
-    std::map<Path, Value> tree_;
+    // levels_[k] (k = 1..f+1) is the flat tree level of paths [p1..pk],
+    // indexed ((p1*n + p2)*n + ...)*n + pk and empty until first written;
+    // pk said that p(k-1) said ... that p1's input is the slot's value.
+    // Index order is lexicographic path order, which is the relay order.
+    std::vector<std::vector<Slot>> levels_;
+    // Every stored value's bytes, appended once when its node is first
+    // written; a self-delivered node shares its parent's bytes.
+    common::Bytes arena_;
+    std::vector<common::Processor_id> path_; // scratch: the path being walked
+    std::vector<Slot> votes_;                // scratch: one row of n per level
+    std::vector<std::size_t> relay_;         // scratch: level-r indices relayed
     std::vector<Value> agreed_vector_;
     bool done_ = false;
 };

@@ -34,9 +34,10 @@ Ic_factory ic_parallel_phase_king()
 
 Ic_factory choose_ic(int n, int f)
 {
-    // E7 crossover (bench_bap_scaling, BM_authority_play): EIG wins at f = 1
-    // (~0.27 vs 0.41 ms/play at n = 5); parallel-IC wins from f = 2 on
-    // (~4.9x at n = 9) — but only exists for n > 4f.
+    // E7 crossover (bench_bap_scaling, BM_authority_play, 4-core box): EIG
+    // wins at f = 1 (~0.16 vs 0.52 ms/play at n = 5). At n = 9, f = 2 the two
+    // tie on time (~2.5 vs 2.6 ms/play) and parallel-IC sends 2.7x fewer
+    // bytes (328 194 vs 890 802 per play) — but it only exists for n > 4f.
     if (f >= 2 && n > 4 * f) return ic_parallel_phase_king();
     return ic_eig();
 }

@@ -6,9 +6,10 @@
 // phase-king (polynomial payloads, n > 4f, 2+2(f+1) rounds). Which one is
 // cheaper end-to-end depends on (n, f): bench E7's BM_authority_play measures
 // the crossover — at f = 1 EIG's payload blow-up has not kicked in yet and its
-// shorter schedule wins, while from f = 2 on parallel-IC is ~5x faster per
-// play. choose_ic encodes that measurement so callers get the right substrate
-// by default instead of hard-coding one.
+// shorter schedule wins (~3x faster per play), while at f = 2 the two tie on
+// time per play and parallel-IC sends ~2.7x fewer bytes. choose_ic encodes
+// that measurement so callers get the right substrate by default instead of
+// hard-coding one.
 #ifndef GA_BFT_IC_SELECT_H
 #define GA_BFT_IC_SELECT_H
 
@@ -31,7 +32,7 @@ Ic_factory ic_parallel_phase_king();
 
 /// The substrate the E7 crossover prescribes for an (n, f) system: EIG at
 /// f <= 1 (and wherever parallel-IC's n > 4f precondition fails), parallel
-/// phase-king from f >= 2 where its polynomial payloads win end-to-end.
+/// phase-king from f >= 2 where its polynomial payloads keep the bytes down.
 Ic_factory choose_ic(int n, int f);
 
 } // namespace ga::bft

@@ -1,7 +1,6 @@
 #include "bft/parallel_ic.h"
 
-#include <map>
-
+#include "bft/plurality.h"
 #include "common/ensure.h"
 
 namespace ga::bft {
@@ -112,19 +111,8 @@ const std::vector<Value>& Parallel_ic_session::agreed_vector() const
 Value Parallel_ic_session::decision() const
 {
     common::ensure(done_, "Parallel_ic_session::decision before completion");
-    std::map<Value, int> votes;
-    for (const Value& value : agreed_vector_) {
-        if (!value.empty()) ++votes[value];
-    }
-    Value best{};
-    int best_count = 0;
-    for (const auto& [value, count] : votes) {
-        if (count > best_count) {
-            best = value;
-            best_count = count;
-        }
-    }
-    return best;
+    const Plurality best = plurality(agreed_vector_, /*skip_bottom=*/true);
+    return best.value == nullptr ? Value{} : *best.value;
 }
 
 } // namespace ga::bft

@@ -1,7 +1,6 @@
 #include "bft/turpin_coan.h"
 
-#include <map>
-
+#include "bft/plurality.h"
 #include "common/ensure.h"
 
 namespace ga::bft {
@@ -73,44 +72,26 @@ void Turpin_coan_session::deliver_round(common::Round r, const Round_payloads& p
     common::ensure(static_cast<int>(payloads.size()) == n_,
                    "Turpin_coan_session::deliver_round: payload vector size mismatch");
 
-    if (r == 0) {
-        // x := any value with >= n-f occurrences (unique when n > 3f).
-        std::map<Value, int> votes;
+    if (r <= 1) {
+        // Non-bottom values received this round (an empty value is not bottom).
+        std::vector<Value> received;
+        received.reserve(payloads.size());
         for (const auto& payload : payloads) {
-            const auto decoded = decode_tagged(payload);
-            if (decoded.has_value() && decoded->has_value()) ++votes[**decoded];
+            auto decoded = decode_tagged(payload);
+            if (decoded.has_value() && decoded->has_value()) received.push_back(std::move(**decoded));
         }
-        x_.reset();
-        for (const auto& [value, count] : votes) {
-            if (count >= n_ - f_) {
-                x_ = value;
-                break;
-            }
+        const Plurality best = plurality(received, /*skip_bottom=*/false);
+        if (r == 0) {
+            // x := any value with >= n-f occurrences (unique when n > 3f).
+            x_.reset();
+            if (best.count >= n_ - f_) x_ = *best.value;
+        } else {
+            // candidate := the most common x; agree on it iff n-f sent one.
+            candidate_valid_ = best.value != nullptr;
+            if (candidate_valid_) candidate_ = *best.value;
+            const int binary_input = static_cast<int>(received.size()) >= n_ - f_ ? 1 : 0;
+            binary_ = make_binary_(n_, f_, self_, binary_input);
         }
-        return;
-    }
-
-    if (r == 1) {
-        std::map<Value, int> votes;
-        int non_bottom = 0;
-        for (const auto& payload : payloads) {
-            const auto decoded = decode_tagged(payload);
-            if (decoded.has_value() && decoded->has_value()) {
-                ++votes[**decoded];
-                ++non_bottom;
-            }
-        }
-        candidate_valid_ = false;
-        int best = 0;
-        for (const auto& [value, count] : votes) {
-            if (count > best) {
-                best = count;
-                candidate_ = value;
-                candidate_valid_ = true;
-            }
-        }
-        const int binary_input = non_bottom >= n_ - f_ ? 1 : 0;
-        binary_ = make_binary_(n_, f_, self_, binary_input);
         return;
     }
 

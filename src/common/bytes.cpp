@@ -66,6 +66,15 @@ Bytes Byte_reader::get_bytes()
     return blob;
 }
 
+std::span<const std::uint8_t> Byte_reader::get_bytes_view()
+{
+    const std::uint32_t len = get_u32();
+    need(len);
+    const std::span<const std::uint8_t> view{data_->data() + pos_, len};
+    pos_ += len;
+    return view;
+}
+
 std::string to_hex(const Bytes& data)
 {
     static constexpr std::array<char, 16> digits = {'0', '1', '2', '3', '4', '5', '6', '7',

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,10 @@ public:
     std::uint64_t get_u64();
     std::int64_t get_i64();
     Bytes get_bytes();
+    /// Same wire format as get_bytes(), but returns a view into the reader's
+    /// buffer instead of copying the blob out; valid while that buffer lives
+    /// unmodified.
+    std::span<const std::uint8_t> get_bytes_view();
 
     [[nodiscard]] bool exhausted() const { return pos_ == data_->size(); }
     [[nodiscard]] std::size_t remaining() const { return data_->size() - pos_; }

@@ -2,11 +2,22 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 namespace ga::telemetry {
 namespace {
 
 const Json_value k_null_value{};
+
+/// `number` truncated toward zero and clamped to the int64 range; a plain
+/// cast of an out-of-range double (say, the literal 1e300) is undefined.
+std::int64_t clamp_to_int64(double number)
+{
+    constexpr double k_two_63 = 9223372036854775808.0;
+    if (number >= k_two_63) return std::numeric_limits<std::int64_t>::max();
+    if (number < -k_two_63) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(number);
+}
 
 class Parser {
 public:
@@ -18,6 +29,7 @@ public:
         skip_ws();
         if (!parse_value(result.value)) {
             result.error = error_;
+            result.value = Json_value{};
             return result;
         }
         skip_ws();
@@ -137,7 +149,7 @@ private:
         if (std::from_chars(first, last, out.number).ec != std::errc{}) {
             return fail("bad number");
         }
-        out.integer = static_cast<std::int64_t>(out.number);
+        out.integer = clamp_to_int64(out.number);
         return true;
     }
 
@@ -257,7 +269,7 @@ const Json_value& Json_value::at(std::string_view key) const
 
 std::int64_t Json_value::as_int(std::int64_t fallback) const
 {
-    if (kind == Kind::number) return integral ? integer : static_cast<std::int64_t>(number);
+    if (kind == Kind::number) return integral ? integer : clamp_to_int64(number);
     if (kind == Kind::boolean) return boolean ? 1 : 0;
     return fallback;
 }

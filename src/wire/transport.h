@@ -1,10 +1,11 @@
 // Pluggable cross-boundary transports for one shard's pulse traffic.
 //
-// Every pulse, a shard's engine delivers the router↔shard protocol traffic —
-// behaviors' actions out, verdicts/outcomes/standings back, all riding the
-// pulse messages — as in-address-space Shared_payload handles. A Transport
-// makes that boundary explicit: the engine hands it the whole pulse's
-// delivered inboxes (sim::Pulse_link) and the transport moves them "across".
+// Every pulse, a shard's engine delivers the replica-to-replica traffic of
+// its authority group — the clock beacons and agreement rounds its
+// processors exchange — as in-address-space Shared_payload handles. A
+// Transport makes that boundary explicit: Engine::run_pulse hands the whole
+// pulse's delivered inboxes to sim::Pulse_link::cross_pulse and the
+// transport moves them "across". Router-to-shard calls do not cross it.
 // Two implementations:
 //
 //   Loopback_transport  the historical behavior, now explicit: moves the

@@ -5,6 +5,7 @@
 #include "bft/attackers.h"
 #include "bft/driver.h"
 #include "bft/phase_king.h"
+#include "bft/plurality.h"
 #include "bft/turpin_coan.h"
 
 namespace {
@@ -128,6 +129,29 @@ TEST(TurpinCoan, LargerSystemSweep)
         for (int i = 0; i < n - 2; ++i)
             EXPECT_EQ(*result.decisions[static_cast<std::size_t>(i)], bytes_of("w"));
     }
+}
+
+// The vote both reduction rounds (and the EIG / parallel-IC decisions) take:
+// most frequent value, lexicographically smallest on ties.
+TEST(Plurality, MostFrequentWinsAndTiesGoToTheSmallest)
+{
+    const auto vote = [](std::vector<std::string> texts, bool skip_bottom) {
+        std::vector<Value> values;
+        for (const auto& text : texts) values.push_back(bytes_of(text));
+        const Plurality best = plurality(values, skip_bottom);
+        return std::make_pair(best.value == nullptr ? std::string{"<none>"}
+                                                    : std::string(best.value->begin(), best.value->end()),
+                              best.count);
+    };
+    EXPECT_EQ(vote({}, false), std::make_pair(std::string{"<none>"}, 0));
+    EXPECT_EQ(vote({"v", "v", "v"}, false), std::make_pair(std::string{"v"}, 3));
+    EXPECT_EQ(vote({"b", "a", "b"}, false), std::make_pair(std::string{"b"}, 2));
+    EXPECT_EQ(vote({"b", "a"}, false), std::make_pair(std::string{"a"}, 1));
+    EXPECT_EQ(vote({"ab", "a", "ab", "a", "b"}, false), std::make_pair(std::string{"a"}, 2));
+    EXPECT_EQ(vote({"\xff", "\x01", "\xff", "\x01"}, false), std::make_pair(std::string{"\x01"}, 2));
+    EXPECT_EQ(vote({"", "", "x"}, false), std::make_pair(std::string{""}, 2));
+    EXPECT_EQ(vote({"", "", "x"}, true), std::make_pair(std::string{"x"}, 1));
+    EXPECT_EQ(vote({"", ""}, true), std::make_pair(std::string{"<none>"}, 0));
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 // out-of-range results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "bft/eig.h"
@@ -17,6 +18,9 @@
 #include "sim/engine.h"
 #include "sim/malicious.h"
 #include "ssba/ssba.h"
+#include "telemetry/export.h"
+#include "telemetry/json_parse.h"
+#include "telemetry/telemetry.h"
 #include "wire/codec.h"
 
 namespace {
@@ -316,6 +320,147 @@ TEST(Fuzz, SessionsIgnoreOutOfScheduleCalls)
     (void)pk.message_for_round(500);
 }
 
+// ------------------------------------------------------------- EIG session
+
+/// Relayed pairs in an EIG round payload this repo's own session produced,
+/// counted per path tail (the sender whose report the pair relays).
+std::vector<std::int64_t> relays_per_tail(const Bytes& payload, int n)
+{
+    std::vector<std::int64_t> per_tail(static_cast<std::size_t>(n), 0);
+    common::Byte_reader reader{payload};
+    const std::uint32_t count = reader.get_u32();
+    for (std::uint32_t p = 0; p < count; ++p) {
+        const std::uint32_t len = reader.get_u32();
+        std::uint32_t tail = 0;
+        for (std::uint32_t i = 0; i < len; ++i) tail = reader.get_u32();
+        (void)reader.get_bytes_view();
+        if (len > 0) per_tail[tail] += 1;
+    }
+    EXPECT_TRUE(reader.exhausted());
+    return per_tail;
+}
+
+/// Delivers round r to `session` (self 0) with only `sender` speaking, then
+/// checks through the round-(r+1) relay that at most `max_pairs` nodes were
+/// taken from that sender — never more than eig_pairs_in_round(n, r).
+void expect_sender_bounded(bft::Eig_session& session, int n, common::Round r,
+                           common::Processor_id sender, const Bytes& payload,
+                           std::int64_t max_pairs)
+{
+    bft::Round_payloads payloads(static_cast<std::size_t>(n));
+    payloads[static_cast<std::size_t>(sender)] = payload;
+    session.deliver_round(r, payloads);
+    const std::vector<std::int64_t> per_tail = relays_per_tail(session.message_for_round(r + 1), n);
+    EXPECT_LE(per_tail[static_cast<std::size_t>(sender)], max_pairs);
+    EXPECT_LE(per_tail[static_cast<std::size_t>(sender)], bft::eig_pairs_in_round(n, r));
+}
+
+TEST(EigFuzz, RandomGarbageNeverLetsASenderPastThePairClamp)
+{
+    Rng rng{31};
+    for (int trial = 0; trial < 600; ++trial) {
+        const int f = 1 + static_cast<int>(rng.below(2));
+        const int n = 3 * f + 1 + static_cast<int>(rng.below(3));
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        bft::Eig_session session{n, f, 0, common::bytes_of("x")};
+        (void)session.message_for_round(0);
+        const auto r = static_cast<common::Round>(rng.below(static_cast<std::uint64_t>(f)));
+        const auto sender = static_cast<common::Processor_id>(1 + rng.below(static_cast<std::uint64_t>(n - 1)));
+        // Half the trials keep a plausible pair count so the decoder gets past
+        // the header into the pairs themselves.
+        Bytes payload = random_bytes(rng, 160);
+        if (payload.size() >= 4 && rng.chance(0.5)) {
+            payload[0] = static_cast<std::uint8_t>(rng.below(static_cast<std::uint64_t>(n) + 2));
+            payload[1] = payload[2] = payload[3] = 0;
+        }
+        expect_sender_bounded(session, n, r, sender, payload, bft::eig_pairs_in_round(n, r));
+    }
+}
+
+TEST(EigFuzz, EveryTruncationKeepsExactlyThePairsBeforeTheCut)
+{
+    // n = 7, f = 2: session 1's honest round-1 payload relays the six level-1
+    // nodes [p] with p != 1, in path order, so pair 0 is [0].
+    const int n = 7;
+    const int f = 2;
+    bft::Round_payloads round0(static_cast<std::size_t>(n));
+    std::vector<std::unique_ptr<bft::Eig_session>> honest;
+    for (int i = 0; i < n; ++i) {
+        honest.push_back(std::make_unique<bft::Eig_session>(n, f, i, common::bytes_of("in-" + std::to_string(i))));
+        round0[static_cast<std::size_t>(i)] = honest.back()->message_for_round(0);
+    }
+    honest[1]->deliver_round(0, round0);
+    const Bytes valid = honest[1]->message_for_round(1);
+
+    // End offset of every pair, to know how many a prefix holds whole.
+    std::vector<std::size_t> pair_ends;
+    {
+        common::Byte_reader reader{valid};
+        const std::uint32_t count = reader.get_u32();
+        for (std::uint32_t p = 0; p < count; ++p) {
+            const std::uint32_t len = reader.get_u32();
+            for (std::uint32_t i = 0; i < len; ++i) (void)reader.get_u32();
+            (void)reader.get_bytes_view();
+            pair_ends.push_back(valid.size() - reader.remaining());
+        }
+    }
+    ASSERT_EQ(pair_ends.size(), 6u);
+
+    for (std::size_t cut = 0; cut <= valid.size(); ++cut) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        // A heap copy of exactly `cut` bytes, so ASan sees any overread.
+        const Bytes head{valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut)};
+        bft::Eig_session receiver{n, f, 0, common::bytes_of("in-0")};
+        (void)receiver.message_for_round(0);
+        receiver.deliver_round(0, round0);
+        (void)receiver.message_for_round(1);
+        const auto whole = static_cast<std::int64_t>(
+            std::count_if(pair_ends.begin(), pair_ends.end(), [cut](std::size_t end) { return end <= cut; }));
+        // Pair [0] ends with the receiver's own id, so it is kept but never
+        // relayed: the relay shows every whole pair but that one.
+        expect_sender_bounded(receiver, n, 1, 1, head, std::max<std::int64_t>(0, whole - 1));
+        bft::Round_payloads again(static_cast<std::size_t>(n));
+        again[1] = head;
+        receiver.deliver_round(1, again); // re-delivery under a held clock
+        const std::vector<std::int64_t> per_tail = relays_per_tail(receiver.message_for_round(2), n);
+        EXPECT_EQ(per_tail[1], std::max<std::int64_t>(0, whole - 1));
+        receiver.deliver_round(2, bft::Round_payloads(static_cast<std::size_t>(n)));
+        ASSERT_TRUE(receiver.done());
+        (void)receiver.decision();
+    }
+}
+
+TEST(EigFuzz, BitFlippedRelaysNeverCrashAFullActivation)
+{
+    Rng rng{32};
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const int n = 4 + static_cast<int>(rng.below(2));
+        const int f = 1;
+        std::vector<std::unique_ptr<bft::Eig_session>> sessions;
+        for (int i = 0; i < n; ++i)
+            sessions.push_back(std::make_unique<bft::Eig_session>(n, f, i, common::bytes_of(rng.chance(0.5) ? "a" : "b")));
+        for (common::Round r = 0; r <= f; ++r) {
+            bft::Round_payloads payloads(static_cast<std::size_t>(n));
+            for (int i = 0; i < n; ++i) {
+                Bytes payload = sessions[static_cast<std::size_t>(i)]->message_for_round(r);
+                if (i == n - 1 && !payload.empty()) { // the faulty one flips bits
+                    for (int flips = 1 + static_cast<int>(rng.below(3)); flips > 0; --flips)
+                        payload[rng.below(payload.size())] ^= static_cast<std::uint8_t>(1U << rng.below(8));
+                }
+                payloads[static_cast<std::size_t>(i)] = std::move(payload);
+            }
+            for (const auto& session : sessions) session->deliver_round(r, payloads);
+        }
+        // Agreement among the honest n-1 survives one corrupted relayer.
+        const Bytes reference = sessions[0]->decision();
+        for (int i = 1; i < n - 1; ++i) {
+            EXPECT_EQ(sessions[static_cast<std::size_t>(i)]->decision(), reference);
+            EXPECT_EQ(sessions[static_cast<std::size_t>(i)]->agreed_vector(), sessions[0]->agreed_vector());
+        }
+    }
+}
+
 // --------------------------------------------------------------- Wire codec
 
 /// A random message whose payload mimics one of the protocol's shapes:
@@ -419,6 +564,116 @@ TEST(CodecFuzz, RandomGarbageEitherThrowsOrRoundTrips)
             // expected: magic, truncation, or checksum tripwire
         }
     }
+}
+
+// ------------------------------------------------------------ JSON reader
+//
+// ga_inspect feeds telemetry::parse_json artifacts from outside the process,
+// so the reader must turn any byte string into either a value or an error
+// that names a byte offset — never a crash, an overread or a runaway stack.
+
+/// An exported telemetry report: counters, gauges, histograms and journal
+/// notes with characters the writer has to escape.
+std::string exported_snapshot()
+{
+    telemetry::Telemetry_sink sink{telemetry::Telemetry_sink::Scope{1, 0}};
+    sink.counter("plays.completed") = 12;
+    sink.counter("ingest.shed_deadline") = 3;
+    sink.gauge("load") = -1.25e-3;
+    for (const std::int64_t sample : {1, 24, 24, 90, 1000}) sink.histogram("play.latency_pulses").record(sample);
+    telemetry::Event e;
+    e.kind = telemetry::Event_kind::foul;
+    e.window = 2;
+    e.at = 48;
+    e.a = 1;
+    e.note = "quote\" slash\\ tab\t bell\x07";
+    sink.event(std::move(e));
+    telemetry::Report report;
+    report.shards.push_back({1, 0, sink.snapshot()});
+    report.fabric = sink.snapshot();
+    return telemetry::to_json(report);
+}
+
+void expect_parsed_or_located(std::string_view text)
+{
+    const telemetry::Json_parse_result parsed = telemetry::parse_json(text);
+    if (!parsed.ok) {
+        EXPECT_NE(parsed.error.find("at byte"), std::string::npos) << parsed.error;
+        EXPECT_TRUE(parsed.value.is_null());
+    }
+}
+
+/// Parses from an exact-size heap copy, so ASan flags any read past the end.
+void parse_exact(const std::string& text)
+{
+    const std::unique_ptr<char[]> copy{new char[text.size() + 1]};
+    std::copy(text.begin(), text.end(), copy.get());
+    expect_parsed_or_located(std::string_view{copy.get(), text.size()});
+}
+
+TEST(JsonFuzz, ExportedSnapshotRoundTrips)
+{
+    const std::string json = exported_snapshot();
+    const telemetry::Json_parse_result parsed = telemetry::parse_json(json);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_EQ(parsed.value.at("fabric").at("counters").at("plays.completed").as_int(), 12);
+}
+
+TEST(JsonFuzz, SeededRandomBytesParseOrNameAnOffset)
+{
+    static constexpr char k_tokens[] = "{}[]\":,.-+eE0123456789 \t\n\\/ubfnrtaels";
+    Rng rng{41};
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::string text(static_cast<std::size_t>(rng.below(96)), '\0');
+        const bool json_like = rng.chance(0.7);
+        for (auto& c : text) {
+            c = json_like ? k_tokens[rng.below(sizeof k_tokens - 1)]
+                          : static_cast<char>(rng.below(256));
+        }
+        parse_exact(text);
+    }
+}
+
+TEST(JsonFuzz, EveryTruncationOfAnExportIsRejected)
+{
+    const std::string json = exported_snapshot();
+    for (std::size_t cut = 0; cut < json.size(); ++cut) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        const std::string head = json.substr(0, cut);
+        parse_exact(head);
+        // Only a cut through trailing whitespace could still be a document.
+        if (json.find_first_not_of(" \t\r\n", cut) != std::string::npos) {
+            EXPECT_FALSE(telemetry::parse_json(head).ok);
+        }
+    }
+}
+
+TEST(JsonFuzz, SeededBitFlipsOfAnExportParseOrNameAnOffset)
+{
+    const std::string json = exported_snapshot();
+    Rng rng{42};
+    for (int trial = 0; trial < 3000; ++trial) {
+        std::string text = json;
+        for (int flips = 1 + static_cast<int>(rng.below(3)); flips > 0; --flips)
+            text[rng.below(text.size())] ^= static_cast<char>(1U << rng.below(8));
+        parse_exact(text);
+    }
+}
+
+TEST(JsonFuzz, HostileShapesStayBounded)
+{
+    // Nesting far past the reader's depth cap must fail, not exhaust the stack.
+    const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+    EXPECT_FALSE(telemetry::parse_json(deep).ok);
+    // Numbers past the int64 range keep a clamped integer view.
+    const telemetry::Json_parse_result huge = telemetry::parse_json("[1e300, -1e300]");
+    ASSERT_TRUE(huge.ok) << huge.error;
+    EXPECT_EQ(huge.value.array[0].as_int(), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(huge.value.array[1].as_int(), std::numeric_limits<std::int64_t>::min());
+    // An integer literal past int64 is an error, not a silent wrap.
+    EXPECT_NE(telemetry::parse_json("[9223372036854775808]").error.find("bad integer"), std::string::npos);
+    for (const char* text : {"\"\\u12", "\"\\", "-", "tru", "{\"a\"", "{\"a\":", "[1,", "1e", "\"\\uZZZZ\""})
+        parse_exact(text);
 }
 
 } // namespace

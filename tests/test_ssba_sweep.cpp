@@ -66,9 +66,11 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, Ssba_sweep,
                                            Sweep_param{7, 2, 0}, Sweep_param{7, 2, 3},
                                            Sweep_param{4, 0, 0}, Sweep_param{10, 3, 0}),
                          [](const ::testing::TestParamInfo<Sweep_param>& info) {
-                             return "n" + std::to_string(info.param.n) + "_f" +
-                                    std::to_string(info.param.f) + "_slack" +
-                                    std::to_string(info.param.period_slack);
+                             std::string name{"n"};
+                             name += std::to_string(info.param.n) + "_f" +
+                                     std::to_string(info.param.f) + "_slack" +
+                                     std::to_string(info.param.period_slack);
+                             return name;
                          });
 
 // Crypto property sweep: commitments bind and verify across payload sizes.
