@@ -10,9 +10,12 @@
 //      heartbeats to KB-scale blobs. Floor: every round-trip is byte-exact —
 //      re-encoding the decoded frame reproduces the wire bytes.
 //   2. Transport comparison on E12's workload: steady-state fabric plays/sec
-//      with the zero-copy loopback link vs the full codec+ring round-trip.
-//      Floor: ring >= 0.5x loopback plays/sec — the boundary costs, but it
-//      must not halve the fabric.
+//      with the zero-copy loopback link vs the full codec+ring round-trip, at
+//      one executor thread after a warm-up. Loopback and ring alternate over
+//      k_link_reps repetitions (which goes first alternates too), each timed
+//      until it has run for at least a fixed wall time; every repetition
+//      yields one ring/loopback ratio. Floor: the median ratio >= 0.5 — the
+//      boundary costs, but it must not halve the fabric.
 //   3. Determinism contract: verdicts, play histories, and the telemetry
 //      JSON are bit-identical between loopback and ring and across executor
 //      widths {1, 2, 4}; the wire census (frames, bytes, batch high water)
@@ -20,10 +23,11 @@
 //
 // Exits non-zero when any floor fails, so CI runs it as a smoke test
 // (`bench_wire --smoke --json out.json`).
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <thread>
+#include <vector>
 
 #include "bench_json.h"
 #include "bench_trace.h"
@@ -147,24 +151,30 @@ struct Throughput {
     double seconds = 0.0;
 };
 
-/// Steady-state E12 workload: warm up one pulse + one play, then time
-/// `plays` plays per shard over the chosen transport.
-Throughput measure_transport(wire::Transport_kind kind, int agents, int shards, int threads,
-                             int plays)
+/// Alternating loopback/ring repetitions; one ratio per repetition.
+constexpr int k_link_reps = 9;
+
+/// Time one repetition: whole play rounds (one play per shard) on an already
+/// warm fabric until at least `min_seconds` of wall time have passed.
+Throughput time_plays(Fabric& fabric, double min_seconds)
 {
-    Fabric fabric = make_fabric(agents, shards, threads, /*seed=*/2026, kind);
-    fabric.run_pulses(1);
-    fabric.run_plays(1);
     const std::int64_t before = fabric.report().total_plays;
-
     const auto start = std::chrono::steady_clock::now();
-    fabric.run_plays(plays);
-    const auto stop = std::chrono::steady_clock::now();
-
     Throughput result;
+    do {
+        fabric.run_plays(1);
+        result.seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    } while (result.seconds < min_seconds);
     result.plays = fabric.report().total_plays - before;
-    result.seconds = std::chrono::duration<double>(stop - start).count();
     return result;
+}
+
+double median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 /// Everything a run can observe, JSON included — the bit-identity witness.
@@ -248,39 +258,65 @@ int main(int argc, char** argv)
     std::cout << "\nCodec floor (every round-trip byte-exact): "
               << (codec_exact ? "PASS" : "FAIL") << "\n\n";
 
-    // ---- 2. Ring vs loopback on E12's workload.
+    // ---- 2. Ring vs loopback on E12's workload: one executor thread (the
+    // ratio then prices the boundary, not fork-join jitter), both fabrics
+    // warmed up, repetitions alternating which transport runs first.
     const int agents = smoke ? 16 : 40;
     const int shards = 4;
-    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-    const int threads = std::min<int>(shards, static_cast<int>(hardware));
-    const int plays = smoke ? 2 : 6;
+    const double rep_seconds = smoke ? 0.03 : 0.1;
 
-    std::cout << "Transport: " << agents << " agents / " << shards << " shards / " << threads
-              << " threads, " << plays << " plays per shard (E12 workload).\n\n";
-    common::Table link_table{{"transport", "plays", "wall ms", "plays/sec", "vs loopback"}};
-    double loopback_rate = 0.0;
-    double ring_ratio = 0.0;
+    std::cout << "Transport: " << agents << " agents / " << shards << " shards / 1 thread, "
+              << k_link_reps << " alternating repetitions of >= " << rep_seconds * 1e3
+              << " ms each (E12 workload).\n\n";
+    Fabric loopback = make_fabric(agents, shards, 1, /*seed=*/2026, wire::Transport_kind::loopback);
+    Fabric ring = make_fabric(agents, shards, 1, /*seed=*/2026, wire::Transport_kind::ring);
+    for (Fabric* fabric : {&loopback, &ring}) {
+        fabric->run_pulses(1);
+        fabric->run_plays(2);
+    }
+    std::vector<double> loopback_rates;
+    std::vector<double> ring_rates;
+    std::vector<double> ratios;
+    const auto rate = [rep_seconds](Fabric& fabric) {
+        const Throughput t = time_plays(fabric, rep_seconds);
+        return static_cast<double>(t.plays) / t.seconds;
+    };
+    for (int rep = 0; rep < k_link_reps; ++rep) {
+        double loopback_rate = 0.0;
+        double ring_rate = 0.0;
+        if (rep % 2 == 0) {
+            loopback_rate = rate(loopback);
+            ring_rate = rate(ring);
+        } else {
+            ring_rate = rate(ring);
+            loopback_rate = rate(loopback);
+        }
+        loopback_rates.push_back(loopback_rate);
+        ring_rates.push_back(ring_rate);
+        ratios.push_back(ring_rate / loopback_rate);
+    }
+    const double ring_ratio = median(ratios);
+    const auto [ratio_min, ratio_max] = std::minmax_element(ratios.begin(), ratios.end());
+
+    common::Table link_table{{"transport", "median plays/sec", "vs loopback (median)"}};
+    link_table.add_row({"loopback", common::fixed(median(loopback_rates), 1), "1.00"});
+    link_table.add_row({"ring", common::fixed(median(ring_rates), 1), common::fixed(ring_ratio, 2)});
     telemetry::Json_writer link_rows;
     link_rows.begin_array();
     for (const auto kind : {wire::Transport_kind::loopback, wire::Transport_kind::ring}) {
-        const Throughput t = measure_transport(kind, agents, shards, threads, plays);
-        const double per_sec = static_cast<double>(t.plays) / t.seconds;
-        if (kind == wire::Transport_kind::loopback) loopback_rate = per_sec;
-        const double ratio = per_sec / loopback_rate;
-        if (kind == wire::Transport_kind::ring) ring_ratio = ratio;
-        link_table.add_row({wire::transport_kind_name(kind), std::to_string(t.plays),
-                            common::fixed(t.seconds * 1e3, 1), common::fixed(per_sec, 1),
-                            common::fixed(ratio, 2)});
+        const bool is_ring = kind == wire::Transport_kind::ring;
         link_rows.begin_object();
         link_rows.field("transport", wire::transport_kind_name(kind));
-        link_rows.field("plays_per_sec", per_sec);
-        link_rows.field("ratio_vs_loopback", ratio);
+        link_rows.field("plays_per_sec", median(is_ring ? ring_rates : loopback_rates));
+        link_rows.field("ratio_vs_loopback", is_ring ? ring_ratio : 1.0);
         link_rows.end_object();
     }
     link_rows.end_array();
     link_table.print(std::cout);
     const bool ring_ok = ring_ratio >= 0.5;
-    std::cout << "\nRing floor (>= 0.5x loopback plays/sec): "
+    std::cout << "\nPer-repetition ring/loopback ratio: " << common::fixed(*ratio_min, 2)
+              << " .. " << common::fixed(*ratio_max, 2) << "\n";
+    std::cout << "Ring floor (median >= 0.5x loopback plays/sec): "
               << common::fixed(ring_ratio, 2) << "x -> " << (ring_ok ? "PASS" : "FAIL")
               << "\n\n";
 

@@ -8,20 +8,42 @@
 //
 //   offset  size  field
 //   ------  ----  --------------------------------------------------------
-//        0     4  magic "GAW1" (frame sync / corruption tripwire)
+//        0     4  magic "GAW2" (frame sync / corruption tripwire)
 //        4     4  from     (Processor_id, two's-complement LE)
 //        8     4  to       (Processor_id, two's-complement LE)
 //       12     8  sent_at  (Pulse, two's-complement LE)
 //       20     4  payload length L (u32 LE)
 //       24     L  payload bytes (the Shared_payload buffer, verbatim)
-//     24+L     8  checksum (u64 LE, FNV-1a over bytes [0, 24+L))
+//     24+L     8  checksum (u64 LE, over bytes [0, 24+L); defined below)
 //
-// Encoding appends straight from the refcounted payload buffer — no
-// intermediate serialization copy — and decoding mints exactly one fresh
-// Shared_payload per frame (the single unavoidable copy off the wire).
-// Truncation and corruption throw common::Contract_error naming the byte
-// offset where the damage was detected, so a fuzzer's replay seed pinpoints
-// the bad frame.
+// Checksum (GAW2). The body [0, 24+L) is read as little-endian u64 words;
+// the last 1..7 bytes, if any, are packed into one zero-padded word (this is
+// unambiguous because L sits in the hashed header). Word j steps lane j mod 4
+// of four independent lanes, each seeded with a distinct constant:
+//
+//   step(h, w) = { h = (h ^ w) * K;  h ^= h >> 32; }     (K odd)
+//
+// The lanes are folded with the same step (h = lane0, then h = step(h, lane1),
+// step(h, lane2), step(h, lane3)) and finished with the murmur3 fmix64
+// avalanche. Arithmetic is mod 2^64 on words read little-endian, so the value
+// is byte-identical on every host; there is no ISA dispatch.
+//
+// Detection guarantee: for a fixed lane state h, step is a bijection of w,
+// and for a fixed w a bijection of h; the fold is therefore injective in each
+// lane and the avalanche is a bijection. So changing any one aligned 8-byte
+// word of the body — which includes every single-bit flip and every burst
+// confined to one such word — always changes the checksum, and damage to the
+// stored checksum itself always mismatches. Damage spread over several words
+// is missed with probability about 2^-64.
+//
+// Encoding sizes the frame once and writes the header with fixed-offset
+// stores, then copies the payload straight from the refcounted buffer — no
+// intermediate serialization copy. parse_frame is the one parse-and-verify
+// routine: decode_frame mints a fresh Shared_payload from its view, and the
+// ring transport (transport.h) fills a recycled receive buffer instead —
+// either way one copy off the wire. Truncation and corruption throw
+// common::Contract_error naming the byte offset where the damage was
+// detected, so a fuzzer's replay seed pinpoints the bad frame.
 //
 // Determinism: encode is a pure function of the message, decode of the
 // bytes; batch encode/decode preserve order. The transports (transport.h)
@@ -33,6 +55,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -40,8 +63,9 @@
 
 namespace ga::wire {
 
-/// Frame sync bytes ("GAW1": game-authority wire, layout v1).
-inline constexpr std::array<std::uint8_t, 4> k_frame_magic = {'G', 'A', 'W', '1'};
+/// Frame sync bytes ("GAW2": game-authority wire, layout v2 — the v1 header
+/// with the word-at-a-time checksum).
+inline constexpr std::array<std::uint8_t, 4> k_frame_magic = {'G', 'A', 'W', '2'};
 
 /// Fixed header bytes before the payload (magic + from + to + sent_at + len).
 inline constexpr std::size_t k_frame_header_bytes = 24;
@@ -60,14 +84,24 @@ inline constexpr std::size_t k_frame_overhead = k_frame_header_bytes + k_frame_c
     return k_frame_overhead + msg.payload.size();
 }
 
+/// A verified frame whose payload bytes still live in the parsed buffer.
+struct Frame_view {
+    common::Processor_id from = -1;
+    common::Processor_id to = -1;
+    common::Pulse sent_at = 0;
+    std::span<const std::uint8_t> payload;
+};
+
 /// Append one frame to `out`. The payload bytes are copied once, directly
 /// from the refcounted buffer into the frame.
 void encode_frame(const sim::Message& msg, common::Bytes& out);
 
-/// Decode the frame starting at `offset`, advancing `offset` past it. Mints
-/// a fresh Shared_payload for the decoded message. Throws
-/// common::Contract_error naming the byte offset on a short buffer, bad
-/// magic, or checksum mismatch.
+/// Parse and verify the frame starting at `offset`, advancing `offset` past
+/// it. The view's payload points into `buf`. Throws common::Contract_error
+/// naming the byte offset on a short buffer, bad magic, or checksum mismatch.
+[[nodiscard]] Frame_view parse_frame(const common::Bytes& buf, std::size_t& offset);
+
+/// parse_frame, then mint a fresh Shared_payload for the decoded message.
 [[nodiscard]] sim::Message decode_frame(const common::Bytes& buf, std::size_t& offset);
 
 /// Append every message's frame to `out`, in order.

@@ -71,7 +71,31 @@ void Loopback_transport::cross_pulse(std::vector<std::vector<sim::Message>>& inb
     account(frames, bytes);
 }
 
+Receive_pool::Receive_pool(std::size_t capacity) : capacity_{capacity} {}
+
+common::Shared_payload Receive_pool::fill(std::span<const std::uint8_t> bytes)
+{
+    const std::size_t size = entries_.size();
+    for (std::size_t probe = 0; probe < std::min(k_probe, size); ++probe) {
+        const std::size_t at = (cursor_ + probe) % size;
+        common::Shared_payload& entry = entries_[at];
+        if (entry.use_count() != 1) continue; // a recipient still holds it
+        entry.unique().assign(bytes.begin(), bytes.end()); // sole holder: no clone
+        cursor_ = (at + 1) % size;
+        return entry;
+    }
+    common::Shared_payload fresh{common::Bytes{bytes.begin(), bytes.end()}};
+    if (size < capacity_) {
+        entries_.push_back(fresh);
+    } else if (size != 0) {
+        entries_[cursor_] = fresh;
+        cursor_ = (cursor_ + 1) % size;
+    }
+    return fresh;
+}
+
 Spsc_frame_ring::Spsc_frame_ring(int capacity)
+    : pool_{static_cast<std::size_t>(std::max(capacity, 0))}
 {
     common::ensure(capacity > 0 && (static_cast<unsigned>(capacity) &
                                     (static_cast<unsigned>(capacity) - 1)) == 0,
@@ -113,7 +137,11 @@ bool Spsc_frame_ring::try_pop(sim::Message& out)
         if (tail == cached_head_) return false; // genuinely empty
     }
     std::size_t offset = 0;
-    out = decode_frame(slots_[tail & mask_], offset);
+    const Frame_view frame = parse_frame(slots_[tail & mask_], offset);
+    out.from = frame.from;
+    out.to = frame.to;
+    out.sent_at = frame.sent_at;
+    out.payload = pool_.fill(frame.payload);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
 }
@@ -161,7 +189,7 @@ void Ring_transport::cross_pulse(std::vector<std::vector<sim::Message>>& inboxes
     }
 
     // One batched publish per pulse, then the consumer side decodes every
-    // frame into a freshly minted payload and rebuilds the inboxes. Frames
+    // frame into a recycled receive buffer and rebuilds the inboxes. Frames
     // carry `to`, and recipient-major staging keeps per-recipient order, so
     // the rebuilt inboxes are identical to what loopback leaves in place.
     ring_.publish();

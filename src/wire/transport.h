@@ -15,12 +15,14 @@
 //                       ring's bit for bit.
 //
 //   Ring_transport      a real boundary's cost model in-process: every
-//                       message is encoded through the flat frame codec into
-//                       a lock-free SPSC ring of frames (fixed power-of-two
-//                       capacity, acquire/release atomics only, one batched
-//                       publish per pulse) and decoded back out. Swapping the
-//                       ring's two ends into separate processes is the one
-//                       remaining step to the distributed north star.
+//                       message is encoded through the flat GAW2 frame codec
+//                       into a lock-free SPSC ring of frames (fixed power-of-
+//                       two capacity, acquire/release atomics only, one
+//                       batched publish per pulse), checksum-verified, and
+//                       decoded back out into the consumer's recycled receive
+//                       buffers. Swapping the ring's two ends into separate
+//                       processes is the one remaining step to the
+//                       distributed north star.
 //
 // Determinism contract (extends the fabric's): verdicts, stats, and
 // telemetry are bit-identical between loopback and ring and across executor
@@ -33,8 +35,10 @@
 #define GA_WIRE_TRANSPORT_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/engine.h"
@@ -111,14 +115,52 @@ public:
     void cross_pulse(std::vector<std::vector<sim::Message>>& inboxes, common::Pulse at) override;
 };
 
+/// The consumer end's recycled receive buffers: decoded payloads are filled
+/// into pool entries instead of freshly minted ones, so a steady-state decode
+/// allocates nothing (minting costs two allocations and two frees).
+///
+/// An entry is rewritten only while the pool is its sole holder
+/// (use_count() == 1): then unique() hands back the entry's own buffer
+/// without cloning and assign() reuses its capacity. An entry a recipient
+/// still holds is never written. fill() probes at most k_probe entries from
+/// a cursor — a processor that keeps handles cannot make decode O(pool) —
+/// and when every probed entry is held it mints a fresh payload, which the
+/// pool adopts (appended while below capacity, else in the cursor's slot).
+///
+/// Because the pool keeps a reference to everything it handed out, a later
+/// copy-on-write writer (Engine::inject_transient_fault) always clones the
+/// buffer instead of writing into a pooled one. Not thread-safe: the ring's
+/// consumer end runs on the shard's coordinating thread, sequenced against
+/// the engine's worker pool, so every handle a worker dropped is visible.
+class Receive_pool {
+public:
+    /// Entries tried per fill before minting. A constant, not a knob.
+    static constexpr std::size_t k_probe = 4;
+
+    /// At most `capacity` entries (grown on demand).
+    explicit Receive_pool(std::size_t capacity);
+
+    /// A payload holding a copy of `bytes`, in a recycled buffer when one of
+    /// the probed entries is free.
+    [[nodiscard]] common::Shared_payload fill(std::span<const std::uint8_t> bytes);
+
+    [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+private:
+    std::vector<common::Shared_payload> entries_;
+    std::size_t capacity_;
+    std::size_t cursor_ = 0;
+};
+
 /// Lock-free single-producer/single-consumer ring of encoded frames. Fixed
 /// power-of-two capacity; one Bytes buffer per slot, reused across frames so
 /// the steady state allocates nothing. Producer stages frames into free
 /// slots and publishes them with one release store per batch; the consumer
-/// pops with an acquire load. Both ends currently run on the shard's
-/// coordinating thread, but the synchronization is complete — splitting the
-/// ends across threads (or, via shared memory, processes) needs no change
-/// here.
+/// pops with an acquire load and decodes into its Receive_pool (as many
+/// entries as the ring has slots). Both ends currently run on the shard's
+/// coordinating thread, but the ring's synchronization is complete —
+/// splitting the ends across threads (or, via shared memory, processes)
+/// needs no change here; the pool belongs to the consumer end.
 class Spsc_frame_ring {
 public:
     explicit Spsc_frame_ring(int capacity);
@@ -136,7 +178,8 @@ public:
 
     // ---- Consumer end.
 
-    /// Decode the oldest published frame into `out`. False when empty.
+    /// Verify and decode the oldest published frame into `out`, its payload
+    /// in a recycled receive buffer. False when empty.
     [[nodiscard]] bool try_pop(sim::Message& out);
 
     // ---- Gauges (read from the producer side).
@@ -159,12 +202,15 @@ private:
     std::uint64_t cached_tail_ = 0;
     // Consumer-local cached head.
     std::uint64_t cached_head_ = 0;
+    Receive_pool pool_;
     std::int64_t depth_high_water_ = 0;
 };
 
 /// Codec round-trip link: every message is framed, pushed through the SPSC
-/// ring (batched publish per pulse), popped, and decoded into a freshly
-/// minted payload — the full cost model of a process boundary, in-process.
+/// ring (batched publish per pulse), popped, verified, and decoded into a
+/// recycled receive buffer — the full cost model of a process boundary,
+/// in-process. Each recipient gets its own copy of the bytes, as it would
+/// across a real boundary.
 class Ring_transport final : public Transport {
 public:
     explicit Ring_transport(int ring_frames);

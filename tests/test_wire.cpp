@@ -1,13 +1,16 @@
-// The wire layer: flat frame codec (layout, round-trips, damage detection
-// with byte offsets), the zero-copy loopback link, the lock-free SPSC frame
-// ring (full/empty/wrap edges, FIFO order, high-water gauges), and the
-// fabric-level determinism contract — verdicts, stats, and telemetry JSON
+// The wire layer: flat GAW2 frame codec (layout, pinned bytes, round-trips,
+// damage detection with byte offsets, every single-bit flip caught), the
+// zero-copy loopback link, the lock-free SPSC frame ring (full/empty/wrap
+// edges, FIFO order, high-water gauges), its recycled receive buffers (kept
+// handles keep their bytes, no two live messages share a buffer, transient
+// faults stay copy-on-write), and the fabric-level determinism contract — verdicts, stats, and telemetry JSON
 // bit-identical between loopback and ring and across executor widths.
 // bench_wire (E19) re-checks codec and transport throughput at scale.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "shard/fabric.h"
 #include "telemetry/export.h"
@@ -122,6 +125,65 @@ TEST(Wire, DecodeNamesTheByteOffsetOfTheDamage)
     flipped[frame + wire::k_frame_header_bytes] ^= 0x10;
     what = thrown_what([&] { (void)wire::decode_batch(flipped); });
     EXPECT_NE(what.find("frame checksum mismatch"), std::string::npos) << what;
+}
+
+TEST(Wire, Gaw2BytesArePinned)
+{
+    // One 32-byte lane block, one leftover word and a 3-byte tail, with a
+    // negative recipient id. Changing these bytes is a wire format bump.
+    Bytes payload;
+    for (std::uint8_t b = 0x40; b < 0x40 + 19; ++b) payload.push_back(b);
+    Bytes out;
+    wire::encode_frame(make_message(3, -2, payload, 0x0102030405060708), out);
+    EXPECT_EQ(common::to_hex(out),
+              "4741573203000000feffffff080706050403020113000000"   // header
+              "404142434445464748494a4b4c4d4e4f505152"             // payload
+              "417b0731dc4c8c2d");                                 // checksum
+}
+
+TEST(Wire, EveryBitFlipIsDetected)
+{
+    // Payload lengths 0..40 cover every tail length (0..7 bytes) and both
+    // sides of the 32-byte lane stride. A flip outside the length field is
+    // confined to one aligned word, which the checksum always detects; a
+    // flipped length bit must still fail the decode somewhere.
+    for (std::size_t length = 0; length <= 40; ++length) {
+        Bytes payload(length);
+        for (std::size_t i = 0; i < length; ++i) payload[i] = static_cast<std::uint8_t>(i * 37 + 1);
+        Bytes frame;
+        wire::encode_frame(make_message(5, 6, payload, 1000 + static_cast<int>(length)), frame);
+        for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                Bytes damaged = frame;
+                damaged[byte] ^= static_cast<std::uint8_t>(1u << bit);
+                const std::string what = thrown_what([&] { (void)wire::decode_batch(damaged); });
+                ASSERT_NE(what.find(" at byte "), std::string::npos)
+                    << "L=" << length << " byte " << byte << " bit " << bit << ": " << what;
+                if (byte < wire::k_frame_magic.size()) {
+                    EXPECT_NE(what.find("bad frame magic at byte 0"), std::string::npos) << what;
+                } else if (byte < 20 || byte >= 24) {
+                    EXPECT_NE(what.find("frame checksum mismatch at byte 0"), std::string::npos)
+                        << "L=" << length << " byte " << byte << " bit " << bit << ": " << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(Wire, RejectsGaw1Frames)
+{
+    // A well-formed frame of the previous layout: "GAW1" magic and a
+    // byte-serial FNV-1a trailer over the same header and payload.
+    Bytes frame;
+    wire::encode_frame(make_message(1, 2, Bytes{7, 8, 9}, 4), frame);
+    frame[3] = '1';
+    const std::size_t body = frame.size() - wire::k_frame_checksum_bytes;
+    std::uint64_t fnv = 14695981039346656037ULL;
+    for (std::size_t i = 0; i < body; ++i) fnv = (fnv ^ frame[i]) * 1099511628211ULL;
+    for (std::size_t i = 0; i < 8; ++i) frame[body + i] = static_cast<std::uint8_t>(fnv >> (8 * i));
+
+    const std::string what = thrown_what([&] { (void)wire::decode_batch(frame); });
+    EXPECT_NE(what.find("bad frame magic at byte 0"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------- Transport
@@ -245,6 +307,158 @@ TEST(WireRing, CrossPulseDeliversLoopbackIdenticalMessagesAndStats)
     EXPECT_LE(as_ring->ring().depth_high_water(), 8)
         << "occupancy can never exceed the ring capacity";
     EXPECT_EQ(as_ring->ring().depth(), 0) << "every frame must be drained by pulse end";
+}
+
+// ------------------------------------------------------- Recycled receive
+
+TEST(WireRing, ReceivePoolRecyclesOnlyBuffersItSolelyHolds)
+{
+    wire::Receive_pool pool{4};
+    const std::uint8_t* first_buffer = nullptr;
+    {
+        const common::Shared_payload first = pool.fill(Bytes{1, 2, 3});
+        EXPECT_EQ(first.bytes(), (Bytes{1, 2, 3}));
+        first_buffer = first.data();
+    }
+    // The pool is the sole holder again: the next fill reuses that buffer.
+    const common::Shared_payload held = pool.fill(Bytes{4, 5});
+    EXPECT_EQ(held.data(), first_buffer);
+    EXPECT_EQ(held.bytes(), (Bytes{4, 5}));
+    // A held entry is never rewritten.
+    const common::Shared_payload next = pool.fill(Bytes{6});
+    EXPECT_FALSE(next.aliases(held));
+    EXPECT_EQ(held.bytes(), (Bytes{4, 5}));
+
+    // More held handles than the pool has room for: fresh mints, the pool
+    // stays bounded, and every holder keeps its bytes.
+    std::vector<common::Shared_payload> kept;
+    for (std::uint8_t i = 0; i < 12; ++i) kept.push_back(pool.fill(Bytes{i, i, i}));
+    EXPECT_LE(pool.size(), 4u);
+    for (std::uint8_t i = 0; i < 12; ++i) EXPECT_EQ(kept[i].bytes(), (Bytes{i, i, i}));
+    EXPECT_EQ(held.bytes(), (Bytes{4, 5}));
+    EXPECT_EQ(next.bytes(), (Bytes{6}));
+}
+
+TEST(WireRing, KeptHandleSurvivesMoreThanRingFramesLaterFrames)
+{
+    const int ring_frames = 8;
+    auto link = wire::make_transport({wire::Transport_kind::ring, ring_frames});
+    std::vector<std::vector<sim::Message>> inboxes(2);
+    inboxes[1].push_back(make_message(0, 1, Bytes{0xC0, 0xFF, 0xEE}, 0));
+    link->cross_pulse(inboxes, 0);
+    const sim::Message kept = inboxes[1][0];
+
+    // 5 later pulses of 6 same-sized frames each (30 > ring_frames), with
+    // the consumed rows dropped between pulses the way the engine does.
+    for (int pulse = 1; pulse <= 5; ++pulse) {
+        for (auto& row : inboxes) row.clear();
+        for (int m = 0; m < 6; ++m) {
+            const auto tag = static_cast<std::uint8_t>(pulse * 10 + m);
+            inboxes[static_cast<std::size_t>(m % 2)].push_back(
+                make_message(1 - m % 2, m % 2, Bytes{tag, tag, tag}, pulse));
+        }
+        link->cross_pulse(inboxes, pulse);
+    }
+    EXPECT_EQ(kept.payload.bytes(), (Bytes{0xC0, 0xFF, 0xEE}));
+    EXPECT_EQ(kept.from, 0);
+}
+
+TEST(WireRing, NoTwoLiveMessagesShareADecodedBuffer)
+{
+    auto link = wire::make_transport({wire::Transport_kind::ring, 16});
+    std::vector<std::vector<sim::Message>> previous;
+    for (int pulse = 0; pulse < 6; ++pulse) {
+        // A 4-way broadcast (one aliased buffer going in) plus private sends.
+        std::vector<std::vector<sim::Message>> inboxes(4);
+        const common::Shared_payload broadcast{Bytes{0xB0, static_cast<std::uint8_t>(pulse)}};
+        for (std::size_t to = 0; to < 4; ++to) {
+            sim::Message msg = make_message(9, static_cast<int>(to), Bytes{}, pulse);
+            msg.payload = broadcast;
+            inboxes[to].push_back(std::move(msg));
+            inboxes[to].push_back(make_message(8, static_cast<int>(to),
+                                               Bytes(to + 1, static_cast<std::uint8_t>(pulse)),
+                                               pulse));
+        }
+        link->cross_pulse(inboxes, pulse);
+
+        // Every decoded buffer is private to one message — also against the
+        // previous pulse's messages, still held while this pulse crossed.
+        std::vector<const sim::Message*> live;
+        for (const auto& row : inboxes)
+            for (const sim::Message& msg : row) live.push_back(&msg);
+        for (const auto& row : previous)
+            for (const sim::Message& msg : row) live.push_back(&msg);
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            for (std::size_t j = i + 1; j < live.size(); ++j) {
+                EXPECT_FALSE(live[i]->payload.aliases(live[j]->payload))
+                    << "pulse " << pulse << ": messages " << i << " and " << j;
+            }
+        }
+        for (std::size_t to = 0; to < 4; ++to) {
+            ASSERT_EQ(inboxes[to].size(), 2u);
+            EXPECT_EQ(inboxes[to][0].payload.bytes(),
+                      (Bytes{0xB0, static_cast<std::uint8_t>(pulse)}));
+            EXPECT_EQ(inboxes[to][1].payload.bytes(),
+                      Bytes(to + 1, static_cast<std::uint8_t>(pulse)));
+        }
+        previous = std::move(inboxes);
+    }
+}
+
+/// Records every delivery. On odd pulses it re-broadcasts a handle it
+/// received, so after a ring crossing the in-flight traffic aliases the
+/// ring's recycled receive buffers when a transient fault strikes.
+class Relay final : public sim::Processor {
+public:
+    explicit Relay(common::Processor_id id) : Processor{id} {}
+
+    void on_pulse(sim::Pulse_context& ctx) override
+    {
+        const std::vector<sim::Message>& inbox = ctx.inbox();
+        for (const sim::Message& m : inbox) seen.emplace_back(ctx.pulse(), m.from, m.payload.bytes());
+        if (ctx.pulse() % 2 == 1 && !inbox.empty()) {
+            ctx.broadcast(inbox[static_cast<std::size_t>(id()) % inbox.size()].payload);
+        } else {
+            ctx.broadcast(Bytes{static_cast<std::uint8_t>(id()),
+                                static_cast<std::uint8_t>(ctx.pulse()), 0x5A, 0xA5});
+        }
+    }
+    void corrupt(common::Rng&) override {}
+
+    std::vector<std::tuple<common::Pulse, common::Processor_id, Bytes>> seen;
+};
+
+using Deliveries = std::vector<std::vector<std::tuple<common::Pulse, common::Processor_id, Bytes>>>;
+
+Deliveries relay_run(wire::Transport_kind kind, int threads, bool fault)
+{
+    const int n = 6;
+    sim::Engine engine{sim::complete_graph(n), common::Rng{31}, sim::Engine_config{threads}};
+    for (common::Processor_id id = 0; id < n; ++id) engine.install(std::make_unique<Relay>(id));
+    auto link = wire::make_transport({kind, 8});
+    engine.set_link(link.get());
+    engine.run(4);
+    if (fault) engine.inject_transient_fault(); // drops some copies, garbles others
+    engine.run(4);
+    Deliveries deliveries;
+    for (common::Processor_id id = 0; id < n; ++id)
+        deliveries.push_back(engine.processor_as<Relay>(id).seen);
+    return deliveries;
+}
+
+TEST(WireRing, TransientFaultAfterRingCrossingLeaksIntoNoOtherRecipient)
+{
+    // Loopback is the copy-on-write reference (SharedPayload suite). If a
+    // garble wrote into a recycled buffer another recipient still reads, or
+    // the pool rewrote a buffer a recipient still holds, the ring run's
+    // deliveries would diverge from it.
+    const Deliveries reference = relay_run(wire::Transport_kind::loopback, 1, true);
+    EXPECT_NE(reference, relay_run(wire::Transport_kind::loopback, 1, false))
+        << "the fault must change what is delivered";
+    for (const int threads : {1, 2}) {
+        EXPECT_EQ(relay_run(wire::Transport_kind::ring, threads, true), reference)
+            << threads << " threads";
+    }
 }
 
 // ------------------------------------------------------------ Fabric parity
