@@ -33,7 +33,27 @@ void Ic_schedule_processor::reset_section_buffer(int phase)
 {
     buf_phase_ = phase;
     for (common::Round& round : buf_round_) round = -1;
-    for (common::Bytes& payload : buf_payload_) payload.clear();
+    // Released, not cleared: a buffer kept across phases would hold the
+    // largest section any phase sends (the batch reveal's) for the whole run.
+    for (common::Bytes& payload : buf_payload_) payload = common::Bytes{};
+}
+
+void Ic_schedule_processor::fold_parked_sections(int phase, bool phase_entered)
+{
+    // Current phase only, newest round per sender wins (this retires
+    // retransmit copies of already delivered rounds; a held clock never
+    // re-delivers stale data). Within one round the first copy wins, so
+    // same-pulse Byzantine duplicates cannot flip an already parked section.
+    // assign() reuses each sender's buffer across the rounds of a phase.
+    if (phase != buf_phase_ || phase_entered) reset_section_buffer(phase);
+    for (const Parked& p : parked_) {
+        const auto sender = static_cast<std::size_t>(p.from);
+        if (p.phase != phase) continue;
+        if (p.round < 0 || p.round >= ic_rounds_) continue;
+        if (p.round <= buf_round_[sender]) continue;
+        buf_round_[sender] = p.round;
+        buf_payload_[sender].assign(p.section.begin(), p.section.end());
+    }
 }
 
 void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
@@ -41,15 +61,10 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
     // ---- Parse inbox. Under delta > 1 a pulse legitimately carries several
     // copies per sender (retransmissions with different delays landing
     // together), so every copy is parsed: the cache keeps the freshest
-    // beacon per sender, and every decodable section is parked for the
-    // newest-round-per-sender buffer fold below.
-    struct Parked {
-        common::Processor_id from;
-        int phase;
-        common::Round round;
-        common::Bytes payload;
-    };
-    std::vector<Parked> parked;
+    // beacon per sender, and every decodable section is parked — as a view
+    // into its inbox payload — for the newest-round-per-sender buffer fold
+    // below.
+    parked_.clear();
     for (const sim::Message& msg : ctx.inbox()) {
         if (msg.from < 0 || msg.from >= ctx.system_size()) continue;
         try {
@@ -60,10 +75,8 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
             if (has_section == 1) {
                 const auto phase = static_cast<int>(reader.get_u8());
                 const auto round = static_cast<common::Round>(reader.get_u32());
-                common::Bytes payload = reader.get_bytes();
-                if (reader.exhausted()) {
-                    parked.push_back({msg.from, phase, round, std::move(payload)});
-                }
+                const std::span<const std::uint8_t> section = reader.get_bytes_view();
+                if (reader.exhausted()) parked_.push_back({msg.from, phase, round, section});
             }
         } catch (const common::Decode_error&) {
         }
@@ -96,29 +109,13 @@ void Ic_schedule_processor::on_pulse(sim::Pulse_context& ctx)
     const bool in_schedule = slot >= 0 && slot < n_phases_ * len;
     const bool slot_entered = boundary && slot != last_slot_;
     last_slot_ = slot;
+    if (in_schedule) fold_parked_sections(slot / len, slot_entered && slot % len == 0);
+    parked_.clear(); // the views die with this pulse's inbox
 
     common::Bytes out;
     if (in_schedule) {
         const int phase_index = slot / len;
         const common::Round r = slot % len;
-
-        // ---- Fold this pulse's sections into the cross-pulse buffer:
-        // current phase only, newest round per sender wins (this retires
-        // retransmit copies of already delivered rounds; a held clock never
-        // re-delivers stale data). Within one round the first copy wins, so
-        // same-pulse Byzantine duplicates cannot flip an already parked
-        // section.
-        if (phase_index != buf_phase_ || (slot_entered && r == 0)) {
-            reset_section_buffer(phase_index);
-        }
-        for (Parked& p : parked) {
-            const auto sender = static_cast<std::size_t>(p.from);
-            if (p.phase != phase_index) continue;
-            if (p.round < 0 || p.round >= ic_rounds_) continue;
-            if (p.round <= buf_round_[sender]) continue;
-            buf_round_[sender] = p.round;
-            buf_payload_[sender] = std::move(p.payload);
-        }
 
         if (slot_entered && r == 0) {
             session_ = ic_factory_(n_, f_, id(), phase_input(phase_index, ctx.pulse()));

@@ -31,6 +31,7 @@
 #define GA_AUTHORITY_IC_SCHEDULE_PROCESSOR_H
 
 #include <memory>
+#include <span>
 
 #include "bft/ic_select.h"
 #include "clock/beacon_cache.h"
@@ -118,7 +119,20 @@ protected:
     std::int64_t current_window_span_ = 0;
 
 private:
+    /// One section parsed from this pulse's inbox: a view into the sender's
+    /// payload, valid only inside the on_pulse that parsed it.
+    struct Parked {
+        common::Processor_id from;
+        int phase;
+        common::Round round;
+        std::span<const std::uint8_t> section;
+    };
+
     void reset_section_buffer(int phase);
+    /// Fold parked_ into the cross-pulse section buffer for phase `phase`
+    /// (`phase_entered`: the phase's round-0 slot was just entered, which
+    /// starts a fresh buffer).
+    void fold_parked_sections(int phase, bool phase_entered);
 
     int n_;
     int f_;
@@ -140,6 +154,7 @@ private:
     int buf_phase_ = -1;
     std::vector<common::Round> buf_round_;
     std::vector<common::Bytes> buf_payload_;
+    std::vector<Parked> parked_; ///< scratch, emptied before on_pulse returns
 
     // ---- Telemetry (observer-only; no effect on the schedule).
     telemetry::Telemetry_sink* telemetry_ = nullptr;

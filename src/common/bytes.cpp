@@ -30,7 +30,7 @@ void put_bytes(Bytes& out, const Bytes& blob)
 std::uint8_t Byte_reader::get_u8()
 {
     need(1);
-    return (*data_)[pos_++];
+    return data_[pos_++];
 }
 
 std::uint32_t Byte_reader::get_u32()
@@ -38,7 +38,7 @@ std::uint32_t Byte_reader::get_u32()
     need(4);
     std::uint32_t value = 0;
     for (int shift = 0; shift < 32; shift += 8)
-        value |= static_cast<std::uint32_t>((*data_)[pos_++]) << shift;
+        value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
     return value;
 }
 
@@ -47,7 +47,7 @@ std::uint64_t Byte_reader::get_u64()
     need(8);
     std::uint64_t value = 0;
     for (int shift = 0; shift < 64; shift += 8)
-        value |= static_cast<std::uint64_t>((*data_)[pos_++]) << shift;
+        value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
     return value;
 }
 
@@ -60,8 +60,8 @@ Bytes Byte_reader::get_bytes()
 {
     const std::uint32_t len = get_u32();
     need(len);
-    Bytes blob(data_->begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_->begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+    Bytes blob(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
     pos_ += len;
     return blob;
 }
@@ -70,7 +70,7 @@ std::span<const std::uint8_t> Byte_reader::get_bytes_view()
 {
     const std::uint32_t len = get_u32();
     need(len);
-    const std::span<const std::uint8_t> view{data_->data() + pos_, len};
+    const std::span<const std::uint8_t> view = data_.subspan(pos_, len);
     pos_ += len;
     return view;
 }

@@ -35,7 +35,10 @@ public:
 
 class Byte_reader {
 public:
-    explicit Byte_reader(const Bytes& data) : data_{&data} {}
+    explicit Byte_reader(const Bytes& data) : Byte_reader{data.data(), data.size()} {}
+    /// Reader over `size` bytes at `data` (e.g. a blob from get_bytes_view()),
+    /// valid while those bytes live unmodified.
+    Byte_reader(const std::uint8_t* data, std::size_t size) : data_{data, size} {}
 
     std::uint8_t get_u8();
     std::uint32_t get_u32();
@@ -47,16 +50,16 @@ public:
     /// unmodified.
     std::span<const std::uint8_t> get_bytes_view();
 
-    [[nodiscard]] bool exhausted() const { return pos_ == data_->size(); }
-    [[nodiscard]] std::size_t remaining() const { return data_->size() - pos_; }
+    [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+    [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
 private:
     void need(std::size_t count) const
     {
-        if (pos_ + count > data_->size()) throw Decode_error{"byte buffer underrun"};
+        if (pos_ + count > data_.size()) throw Decode_error{"byte buffer underrun"};
     }
 
-    const Bytes* data_;
+    std::span<const std::uint8_t> data_;
     std::size_t pos_ = 0;
 };
 

@@ -6,6 +6,17 @@ namespace {
 
 constexpr std::size_t nonce_size = 32;
 
+/// Absorb `blob` as put_bytes would have written it: u32 LE length, bytes.
+void absorb_length_prefixed(Sha256& ctx, const common::Bytes& blob)
+{
+    const auto len = static_cast<std::uint32_t>(blob.size());
+    const std::array<std::uint8_t, 4> prefix{
+        static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+        static_cast<std::uint8_t>(len >> 16), static_cast<std::uint8_t>(len >> 24)};
+    ctx.update(prefix);
+    ctx.update(blob);
+}
+
 } // namespace
 
 Committed commit(const common::Bytes& payload, common::Rng& rng)
@@ -23,10 +34,12 @@ Committed commit(const common::Bytes& payload, common::Rng& rng)
 
 Commitment recommit(const Opening& opening)
 {
-    common::Bytes preimage;
-    common::put_bytes(preimage, opening.nonce);
-    common::put_bytes(preimage, opening.payload);
-    return Commitment{sha256(preimage)};
+    // Hashes exactly the bytes put_bytes(nonce) ‖ put_bytes(payload) would
+    // hold, without assembling them.
+    Sha256 ctx;
+    absorb_length_prefixed(ctx, opening.nonce);
+    absorb_length_prefixed(ctx, opening.payload);
+    return Commitment{ctx.finish()};
 }
 
 bool verify(const Commitment& commitment, const Opening& opening)

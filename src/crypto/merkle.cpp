@@ -1,5 +1,8 @@
 #include "crypto/merkle.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/ensure.h"
 
 namespace ga::crypto {
@@ -8,23 +11,42 @@ namespace {
 
 Digest node_digest(const Digest& left, const Digest& right)
 {
-    common::Bytes preimage;
-    preimage.reserve(1 + left.size() + right.size());
-    preimage.push_back(0x01);
-    preimage.insert(preimage.end(), left.begin(), left.end());
-    preimage.insert(preimage.end(), right.begin(), right.end());
+    std::array<std::uint8_t, 1 + 2 * sizeof(Digest)> preimage;
+    preimage[0] = 0x01;
+    std::copy(left.begin(), left.end(), preimage.begin() + 1);
+    std::copy(right.begin(), right.end(), preimage.begin() + 1 + sizeof(Digest));
     return sha256(preimage);
+}
+
+/// Fold one level of digests up in place: node i/2 becomes the digest of
+/// the pair (i, i+1) and an odd last node is promoted unchanged. Returns the
+/// size of the level above (the prefix of `nodes` now holding it).
+std::size_t fold_level(std::span<Digest> nodes)
+{
+    std::size_t above = 0;
+    for (std::size_t i = 0; i + 1 < nodes.size(); i += 2)
+        nodes[above++] = node_digest(nodes[i], nodes[i + 1]);
+    if (nodes.size() % 2 == 1) nodes[above++] = nodes.back(); // promote odd node
+    return above;
 }
 
 } // namespace
 
-Digest Merkle_tree::leaf_digest(const common::Bytes& payload)
+Digest Merkle_tree::leaf_digest(std::span<const std::uint8_t> payload)
 {
-    common::Bytes preimage;
-    preimage.reserve(1 + payload.size());
-    preimage.push_back(0x00);
-    preimage.insert(preimage.end(), payload.begin(), payload.end());
-    return sha256(preimage);
+    constexpr std::uint8_t leaf_prefix = 0x00;
+    Sha256 ctx;
+    ctx.update(&leaf_prefix, 1);
+    ctx.update(payload);
+    return ctx.finish();
+}
+
+Digest fold_root(std::span<Digest> leaf_digests)
+{
+    common::ensure(!leaf_digests.empty(), "fold_root requires at least one leaf");
+    std::size_t size = leaf_digests.size();
+    while (size > 1) size = fold_level(leaf_digests.first(size));
+    return leaf_digests.front();
 }
 
 Merkle_tree::Merkle_tree(const std::vector<common::Bytes>& leaves)
@@ -36,12 +58,8 @@ Merkle_tree::Merkle_tree(const std::vector<common::Bytes>& leaves)
     levels_.push_back(std::move(level));
 
     while (levels_.back().size() > 1) {
-        const auto& below = levels_.back();
-        std::vector<Digest> above;
-        above.reserve((below.size() + 1) / 2);
-        for (std::size_t i = 0; i + 1 < below.size(); i += 2)
-            above.push_back(node_digest(below[i], below[i + 1]));
-        if (below.size() % 2 == 1) above.push_back(below.back()); // promote odd node
+        std::vector<Digest> above = levels_.back();
+        above.resize(fold_level(above));
         levels_.push_back(std::move(above));
     }
 }

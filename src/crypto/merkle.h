@@ -7,6 +7,7 @@
 #ifndef GA_CRYPTO_MERKLE_H
 #define GA_CRYPTO_MERKLE_H
 
+#include <span>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -38,11 +39,15 @@ public:
     [[nodiscard]] Merkle_proof prove(std::size_t index) const;
 
     /// Digest of a leaf payload (domain-separated), exposed for verification.
-    static Digest leaf_digest(const common::Bytes& payload);
+    static Digest leaf_digest(std::span<const std::uint8_t> payload);
 
 private:
     std::vector<std::vector<Digest>> levels_; // levels_[0] = leaves, back() = root
 };
+
+/// Root over `leaf_digests` (at least one), computed by folding them in
+/// place — the digests are overwritten. Same tree shape as Merkle_tree.
+Digest fold_root(std::span<Digest> leaf_digests);
 
 /// Verify that `payload` is the `index`-free leaf under `root` via `proof`.
 bool verify_inclusion(const Digest& root, const common::Bytes& payload, const Merkle_proof& proof);

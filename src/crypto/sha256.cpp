@@ -211,6 +211,7 @@ Sha256::Sha256()
 void Sha256::update(const std::uint8_t* data, std::size_t len)
 {
     common::ensure(!finished_, "Sha256::update after finish");
+    if (len == 0) return; // an empty span may carry a null data pointer
     total_bits_ += static_cast<std::uint64_t>(len) * 8;
 
     // Top up a partially filled block first.
@@ -266,7 +267,7 @@ Digest Sha256::finish()
     return digest;
 }
 
-Digest sha256(const common::Bytes& data)
+Digest sha256(std::span<const std::uint8_t> data)
 {
     Sha256 ctx;
     ctx.update(data);

@@ -4,14 +4,15 @@
 // else in the repository depends on external crypto libraries, so the whole
 // middleware builds offline. Compression dispatches at runtime to the x86
 // SHA-NI instruction set when the CPU provides it (the batched play pipeline
-// rebuilds a Merkle tree per agent per window, so block throughput is on the
-// authority tier's hot path); the portable implementation is the fallback and
+// recomputes a Merkle root per agent per window, so block throughput is on
+// the authority tier's hot path); the portable implementation is the fallback and
 // the reference both paths are tested against.
 #ifndef GA_CRYPTO_SHA256_H
 #define GA_CRYPTO_SHA256_H
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -27,7 +28,7 @@ public:
 
     /// Absorb more input; may be called repeatedly.
     void update(const std::uint8_t* data, std::size_t len);
-    void update(const common::Bytes& data) { update(data.data(), data.size()); }
+    void update(std::span<const std::uint8_t> data) { update(data.data(), data.size()); }
 
     /// Finish and return the digest; the context must not be reused afterwards.
     Digest finish();
@@ -41,7 +42,7 @@ private:
 };
 
 /// One-shot convenience.
-Digest sha256(const common::Bytes& data);
+Digest sha256(std::span<const std::uint8_t> data);
 
 /// Digest as a 64-char lower-case hex string.
 std::string digest_hex(const Digest& digest);

@@ -1,5 +1,6 @@
 #include "game/analysis.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace ga::game {
@@ -42,18 +43,46 @@ std::vector<int> best_response_set(const Strategic_game& game, common::Agent_id 
 
 int best_response(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi)
 {
-    return best_response_set(game, i, pi).front();
+    // best_response_set(...).front() without materializing the set: only
+    // actions below the first exact minimum can lie within 1e-9 of it.
+    common::ensure(i >= 0 && i < game.n_agents(), "best_response: agent out of range");
+    Pure_profile probe = pi;
+    int& action = probe[static_cast<std::size_t>(i)];
+    double best = std::numeric_limits<double>::infinity();
+    int first_min = 0;
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        action = a;
+        const double cost = game.cost(i, probe);
+        if (cost < best) {
+            best = cost;
+            first_min = a;
+        }
+    }
+    for (int a = 0; a < first_min; ++a) {
+        action = a;
+        if (game.cost(i, probe) <= best + 1e-9) return a;
+    }
+    return first_min;
 }
 
 bool is_best_response(const Strategic_game& game, common::Agent_id i, const Pure_profile& pi,
                       double eps)
 {
-    const std::vector<int> responses = best_response_set(game, i, pi, eps);
+    // Membership in best_response_set(game, i, pi, eps), in one pass.
+    common::ensure(i >= 0 && i < game.n_agents(), "is_best_response: agent out of range");
     const int played = pi[static_cast<std::size_t>(i)];
-    for (const int a : responses) {
-        if (a == played) return true;
+    if (played < 0 || played >= game.n_actions(i)) return false;
+    Pure_profile probe = pi;
+    int& action = probe[static_cast<std::size_t>(i)];
+    double best = std::numeric_limits<double>::infinity();
+    double played_cost = 0.0;
+    for (int a = 0; a < game.n_actions(i); ++a) {
+        action = a;
+        const double cost = game.cost(i, probe);
+        best = std::min(best, cost);
+        if (a == played) played_cost = cost;
     }
-    return false;
+    return played_cost <= best + eps;
 }
 
 bool is_pure_nash(const Strategic_game& game, const Pure_profile& pi, double eps)

@@ -147,7 +147,7 @@ void Pipeline_processor::process_reveal_result(common::Pulse now)
         return;
     }
 
-    // Open every agent's agreed vector: one O(k) tree rebuild per agent
+    // Open every agent's agreed vector: one O(k) root recomputation per agent
     // verifies all k positions at once (opens_vector); a vector that does
     // not open the agreed root is voided wholesale — without per-position
     // proofs no position of a broken vector is trustworthy.

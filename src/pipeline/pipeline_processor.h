@@ -12,7 +12,7 @@
 //                         one Merkle root (pipeline/play_batcher.h); IC on
 //                         the set of roots
 //   phase 2  batch reveal IC on the whole opening vectors; every replica
-//                         rebuilds each agent's tree from the k agreed
+//                         recomputes each agent's root from the k agreed
 //                         openings (one O(k) check per agent opens all
 //                         positions at once), then opens plays one-by-one
 //                         from the agreed vectors: play j is published with

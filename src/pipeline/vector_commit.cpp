@@ -1,5 +1,8 @@
 #include "pipeline/vector_commit.h"
 
+#include <algorithm>
+#include <array>
+
 namespace ga::pipeline {
 
 namespace {
@@ -7,6 +10,19 @@ namespace {
 /// Honest openings carry a 32-byte nonce and a 4-byte action encoding;
 /// anything materially larger is Byzantine spam.
 constexpr std::size_t k_max_opening_bytes = 64;
+
+/// The leaf bytes of vector position `play`: u32 LE index, then the digest.
+using Leaf_bytes = std::array<std::uint8_t, 4 + sizeof(crypto::Digest)>;
+
+Leaf_bytes leaf_bytes(int play, const crypto::Commitment& commitment)
+{
+    const auto index = static_cast<std::uint32_t>(play);
+    Leaf_bytes leaf{static_cast<std::uint8_t>(index), static_cast<std::uint8_t>(index >> 8),
+                    static_cast<std::uint8_t>(index >> 16),
+                    static_cast<std::uint8_t>(index >> 24)};
+    std::copy(commitment.digest.begin(), commitment.digest.end(), leaf.begin() + 4);
+    return leaf;
+}
 
 } // namespace
 
@@ -35,10 +51,8 @@ std::optional<Batch_root> decode_batch_root(const common::Bytes& bytes, int expe
 
 common::Bytes leaf_payload(int play, const crypto::Commitment& commitment)
 {
-    common::Bytes out;
-    common::put_u32(out, static_cast<std::uint32_t>(play));
-    out.insert(out.end(), commitment.digest.begin(), commitment.digest.end());
-    return out;
+    const Leaf_bytes leaf = leaf_bytes(play, commitment);
+    return common::Bytes{leaf.begin(), leaf.end()};
 }
 
 common::Bytes encode(const Batch_reveal& value)
@@ -60,9 +74,9 @@ std::optional<Batch_reveal> decode_batch_reveal(const common::Bytes& bytes, int 
         Batch_reveal value;
         value.openings.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-            const common::Bytes opening_bytes = reader.get_bytes();
+            const std::span<const std::uint8_t> opening_bytes = reader.get_bytes_view();
             if (opening_bytes.size() > k_max_opening_bytes + 8) return std::nullopt;
-            common::Byte_reader opening_reader{opening_bytes};
+            common::Byte_reader opening_reader{opening_bytes.data(), opening_bytes.size()};
             crypto::Opening opening = crypto::decode_opening(opening_reader);
             if (!opening_reader.exhausted()) return std::nullopt;
             value.openings.push_back(std::move(opening));
@@ -76,14 +90,14 @@ std::optional<Batch_reveal> decode_batch_reveal(const common::Bytes& bytes, int 
 
 bool opens_vector(const Batch_root& root, const Batch_reveal& reveal)
 {
-    if (reveal.openings.size() != root.k || reveal.openings.empty()) return false;
-    std::vector<common::Bytes> leaves;
-    leaves.reserve(reveal.openings.size());
-    for (std::size_t j = 0; j < reveal.openings.size(); ++j) {
-        leaves.push_back(
-            leaf_payload(static_cast<int>(j), crypto::recommit(reveal.openings[j])));
+    const std::size_t k = reveal.openings.size();
+    if (k != root.k || k == 0 || k > static_cast<std::size_t>(k_max_batch)) return false;
+    std::array<crypto::Digest, k_max_batch> nodes;
+    for (std::size_t j = 0; j < k; ++j) {
+        nodes[j] = crypto::Merkle_tree::leaf_digest(
+            leaf_bytes(static_cast<int>(j), crypto::recommit(reveal.openings[j])));
     }
-    return crypto::Merkle_tree{leaves}.root() == root.root;
+    return crypto::fold_root(std::span<crypto::Digest>{nodes}.first(k)) == root.root;
 }
 
 common::Bytes encode(const Spot_reveal& value)

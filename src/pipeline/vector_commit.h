@@ -14,10 +14,11 @@
 //                  each position;
 //  - Batch_reveal: what the batch-reveal phase agrees on per agent — the
 //                  whole vector of k openings. Verifiers recompute every
-//                  commitment (crypto::recommit), rebuild the Merkle tree,
-//                  and compare roots: one O(k) check per agent per batch
-//                  opens all k positions at once, and any substituted opening
-//                  anywhere in the vector changes the rebuilt root;
+//                  commitment (crypto::recommit), fold the leaf digests to a
+//                  root in place (crypto::fold_root), and compare roots: one
+//                  O(k) check per agent per batch opens all k positions at
+//                  once, and any substituted opening anywhere in the vector
+//                  changes the recomputed root;
 //  - Spot_reveal:  the logarithmic alternative for opening one position out
 //                  of a sealed vector (opening + inclusion proof) — the §5.3
 //                  spot-audit path, worthwhile when only a sample of a large
@@ -68,9 +69,10 @@ common::Bytes encode(const Batch_reveal& value);
 std::optional<Batch_reveal> decode_batch_reveal(const common::Bytes& bytes, int expected_k);
 
 /// True iff `reveal` opens the whole vector sealed under `root`: recompute
-/// every position's commitment, rebuild the Merkle tree, compare roots.
-/// O(k) hashes — cheaper than k inclusion proofs when the full batch is
-/// audited (the pipeline's normal mode).
+/// every position's commitment, fold the leaf digests to a root on the
+/// stack, compare roots. O(k) hashes — cheaper than k inclusion proofs when
+/// the full batch is audited (the pipeline's normal mode). More than
+/// k_max_batch openings never open.
 bool opens_vector(const Batch_root& root, const Batch_reveal& reveal);
 
 /// One position's logarithmic spot opening.

@@ -180,12 +180,14 @@ void Engine::step_processor_net(common::Processor_id id, Traffic_stats& stats, R
 
 void Engine::run_pulse_single()
 {
-    for (std::vector<Message>& inbox : next_inboxes_) inbox.clear();
     for (common::Processor_id id = 0; id < size(); ++id) {
         if (disconnected_[static_cast<std::size_t>(id)]) continue;
         step_processor(id, next_inboxes_, stats_);
     }
     inboxes_.swap(next_inboxes_);
+    // The rows just consumed release their payload handles now, before the
+    // next pulse crosses the link (as the parallel path's gather does).
+    for (std::vector<Message>& inbox : next_inboxes_) inbox.clear();
 }
 
 void Engine::prepare_net_inboxes()

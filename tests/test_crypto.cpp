@@ -173,6 +173,48 @@ TEST(Commitment, WireRoundTrip)
     EXPECT_TRUE(verify(committed.commitment, opening));
 }
 
+// Known-answer digests recorded from the preimage-buffer implementation of
+// recommit (u32 len | nonce | u32 len | payload hashed as one Bytes): with
+// a 32-byte nonce the preimage is 40 + payload bytes, so the lengths below
+// straddle SHA-256's 55/56-byte padding edge, its 64-byte block edge and the
+// second block's 119/120 edge.
+Opening kat_opening(std::size_t payload_len)
+{
+    Opening opening;
+    opening.nonce.resize(32);
+    for (std::size_t i = 0; i < 32; ++i) opening.nonce[i] = static_cast<std::uint8_t>(i * 5 + 1);
+    opening.payload.resize(payload_len);
+    for (std::size_t i = 0; i < payload_len; ++i)
+        opening.payload[i] = static_cast<std::uint8_t>(0xa0 + i);
+    return opening;
+}
+
+TEST(Commitment, RecommitDigestsArePinned)
+{
+    const std::vector<std::pair<std::size_t, const char*>> pinned{
+        {0, "2000fd3977b005afddba60d7a1d4bb395eaa234958fac4f438f23ee0dfd3773c"},
+        {14, "e05d2a55baa63e701e20951126d5adc55b0500cebf1b50434b7288dbb0c9ef29"},
+        {15, "1647d3489a061a1cd19fa64ce43c1e1d433a7f74e1fe84b645da9314c3f63fc6"},
+        {16, "37ffcbc0aa1b4173cb7626a609cb1647a2ee22349f0338db859df456cbab1421"},
+        {17, "df6c8e30ed05c560e64c0ae8008e6d714c5fd57293e8ab4a06da16c0791c0029"},
+        {23, "8b368820797fee6b22f737908e40214ebe940ce418d491cf374800d10643d187"},
+        {24, "485da85f16e479eb5db602007aa1e92530b84a64e45bdd3ef8cb284c99bb648c"},
+        {25, "f2cafd91ef4f93edc88c332e832bad7e397a7263fc87154ecf594f6bcbddd0d0"},
+        {79, "bfab1d7e96575e5917f9b90b97ff83f776fe60dc2e127a2fa191bbefad75d345"},
+        {80, "5f4b3080cbfb8effc7d58371d1ff74db76d402158e93038ebe3595e3269b7de9"},
+        {200, "f0a60b7ad25509877896fa3950a72c1bbde72e56d58fc7bbf7a26df12eaf6392"},
+    };
+    for (const auto& [payload_len, hex] : pinned) {
+        const Opening opening = kat_opening(payload_len);
+        EXPECT_EQ(digest_hex(recommit(opening).digest), hex) << "payload " << payload_len;
+        // The same bytes as the length-prefixed preimage, hashed one-shot.
+        Bytes preimage;
+        ga::common::put_bytes(preimage, opening.nonce);
+        ga::common::put_bytes(preimage, opening.payload);
+        EXPECT_EQ(recommit(opening).digest, sha256(preimage)) << "payload " << payload_len;
+    }
+}
+
 // ---------------------------------------------------------------- Seed audit
 
 TEST(SeedCommitment, CommitmentOpensToSeed)
@@ -284,6 +326,87 @@ TEST(Merkle, LeafAndNodeDomainsAreSeparated)
     fake.insert(fake.end(), la.begin(), la.end());
     fake.insert(fake.end(), lb.begin(), lb.end());
     EXPECT_NE(Merkle_tree::leaf_digest(fake), tree.root());
+}
+
+// Leaf payloads of the pinned roots: 36 bytes each, the size of the batched
+// pipeline's (index, commitment) leaf.
+std::vector<Bytes> kat_leaves(int k)
+{
+    std::vector<Bytes> leaves;
+    for (int j = 0; j < k; ++j) {
+        Bytes leaf(36);
+        for (std::size_t i = 0; i < leaf.size(); ++i)
+            leaf[i] = static_cast<std::uint8_t>(j * 31 + static_cast<int>(i));
+        leaves.push_back(leaf);
+    }
+    return leaves;
+}
+
+// Known answers recorded from the heap-preimage implementation.
+TEST(Merkle, LeafDigestsArePinned)
+{
+    const std::vector<std::pair<std::size_t, const char*>> pinned{
+        {0, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"},
+        {1, "2ecd8a6b7d2845546659ad4cf443533cf921b19dc81fa83934e83821b4dfdcb7"},
+        {36, "2232a731a5fc5f65b8091d8381b0fa2b94bbcf339ef0d6b708af97e890002d43"},
+        {55, "d44103c2fce7c4f985e5572db0f34bc672f69fee5055f2e29cc6661f66de969d"},
+        {63, "48e632de4e608beee241a82c6c9f80c86242a07915a0f254ca0485c7162f036b"},
+        {64, "acf36e34a7397a955a59cae09d6449c3201dd641c6d668ff261299afebd3fe95"},
+        {100, "52cac5af1eb5ae5e30a0654c504f034c144dcd4669eaaa63a59ba97f16d04c50"},
+    };
+    for (const auto& [len, hex] : pinned) {
+        Bytes payload(len);
+        for (std::size_t i = 0; i < len; ++i) payload[i] = static_cast<std::uint8_t>(3 * i + 7);
+        EXPECT_EQ(digest_hex(Merkle_tree::leaf_digest(payload)), hex) << "payload " << len;
+        Bytes preimage;
+        preimage.reserve(1 + payload.size());
+        preimage.push_back(0x00);
+        preimage.insert(preimage.end(), payload.begin(), payload.end());
+        EXPECT_EQ(Merkle_tree::leaf_digest(payload), sha256(preimage)) << "payload " << len;
+    }
+}
+
+TEST(Merkle, NodeDigestIsPinned)
+{
+    // A two-leaf root is exactly one node digest: sha256(0x01 | left | right).
+    const std::vector<Bytes> leaves = kat_leaves(2);
+    const Digest left = Merkle_tree::leaf_digest(leaves[0]);
+    const Digest right = Merkle_tree::leaf_digest(leaves[1]);
+    Bytes preimage;
+    preimage.reserve(1 + left.size() + right.size());
+    preimage.push_back(0x01);
+    preimage.insert(preimage.end(), left.begin(), left.end());
+    preimage.insert(preimage.end(), right.begin(), right.end());
+    const Merkle_tree tree{leaves};
+    EXPECT_EQ(tree.root(), sha256(preimage));
+    EXPECT_EQ(digest_hex(tree.root()),
+              "20364277318e59a51b7a3efd61939764313f0c6010e9b9dd3ddded75484ca9e7");
+}
+
+TEST(Merkle, RootsArePinned)
+{
+    const std::vector<std::pair<int, const char*>> pinned{
+        {1, "12a91af2b4b087222d6301ab9a8fdce0ebda9ad78211bfb51aac1229c64e1a71"},
+        {2, "20364277318e59a51b7a3efd61939764313f0c6010e9b9dd3ddded75484ca9e7"},
+        {3, "470e1b044eef0339a5e447e7b778b84464e412c0550c480ffe35c41118b077e3"},
+        {4, "c3e62d5278922dd5d9a5813863cf7dff87e945b922ef4fc2f8af9097f9b39365"},
+        {5, "2484fdf0dd3e3e82ac12a7ac0c6001e3d0c626122f167f5066e28982b6492d35"},
+        {6, "10a719791cf3ecd892787afe95c734ab35a1e5b024735358af19b7b58b38cbc6"},
+        {7, "0c86cd63dba8d00dc6ed911a1ddecd8e587aef5ae87aebc1399d733711502d16"},
+        {8, "04d07a8fc88c68fd2acc1aeb198381fc937673e343c2be2089e5675519a2a758"},
+        {9, "a5b61709ecda737d2b8f3a618d3ce47f7726b8b9e4e9a6e3298229acf74b6629"},
+        {64, "03f8cabd47dcc78ef7a24c70085e9115a22bed67f9b9ebef3659592c869a23fe"},
+    };
+    for (const auto& [k, hex] : pinned) {
+        const std::vector<Bytes> leaves = kat_leaves(k);
+        const Merkle_tree tree{leaves};
+        EXPECT_EQ(digest_hex(tree.root()), hex) << "k = " << k;
+        std::vector<Digest> digests;
+        for (const Bytes& leaf : leaves) digests.push_back(Merkle_tree::leaf_digest(leaf));
+        EXPECT_EQ(digest_hex(fold_root(digests)), hex) << "k = " << k;
+        for (std::size_t i = 0; i < leaves.size(); ++i)
+            EXPECT_TRUE(verify_inclusion(tree.root(), leaves[i], tree.prove(i))) << "k = " << k;
+    }
 }
 
 } // namespace

@@ -245,6 +245,53 @@ TEST(SharedPayload, TransientFaultGarbleNeverLeaksAcrossRecipients)
     EXPECT_TRUE(saw_both_in_one_run);
 }
 
+/// A consumed inbox releases its payload handles within the pulse that
+/// consumed it, on every thread count: after run_pulse() a broadcast is held
+/// only by its sender's kept handle and its copies not yet delivered.
+TEST(SharedPayload, ConsumedInboxReleasesPayloadsWithinThePulse)
+{
+    /// Broadcasts a fresh payload every pulse and keeps a handle to each.
+    class Keeper final : public Processor {
+    public:
+        explicit Keeper(Processor_id id) : Processor{id} {}
+        void on_pulse(Pulse_context& ctx) override
+        {
+            sent.emplace_back(Bytes(8, static_cast<std::uint8_t>(ctx.pulse())));
+            ctx.broadcast(sent.back());
+        }
+        void corrupt(Rng&) override {}
+        std::vector<Shared_payload> sent;
+    };
+    /// Reads its inbox and sends nothing.
+    class Reader final : public Processor {
+    public:
+        explicit Reader(Processor_id id) : Processor{id} {}
+        void on_pulse(Pulse_context& ctx) override { received += ctx.inbox().size(); }
+        void corrupt(Rng&) override {}
+        std::size_t received = 0;
+    };
+
+    const int n = 6;
+    for (const int threads : {1, 2, 4}) {
+        Engine engine{complete_graph(n), Rng{1}, Engine_config{threads}};
+        engine.install(std::make_unique<Keeper>(0));
+        for (Processor_id id = 1; id < n; ++id) engine.install(std::make_unique<Reader>(id));
+        const auto& keeper = engine.processor_as<Keeper>(0);
+        for (int pulse = 0; pulse < 4; ++pulse) {
+            engine.run_pulse();
+            const std::vector<Shared_payload>& sent = keeper.sent;
+            ASSERT_EQ(sent.size(), static_cast<std::size_t>(pulse + 1));
+            // Kept handle plus n - 1 copies in flight to the next pulse.
+            EXPECT_EQ(sent.back().use_count(), n) << "threads " << threads;
+            // Delivered and consumed this pulse: only the kept handle left.
+            if (pulse > 0) {
+                EXPECT_EQ(sent[sent.size() - 2].use_count(), 1) << "threads " << threads;
+            }
+        }
+        EXPECT_EQ(engine.processor_as<Reader>(1).received, 3u);
+    }
+}
+
 TEST(SharedPayload, StatsCountPerDeliveryDespiteSharing)
 {
     /// One broadcaster, silent receivers: payload bytes must be accounted

@@ -2,6 +2,9 @@
 // social cost, anarchy/stability prices, and the paper's Fig. 1 numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "game/analysis.h"
 #include "game/canonical.h"
 #include "game/linalg.h"
@@ -117,6 +120,92 @@ TEST(Analysis, AnarchyAndStabilityPricesOfCoordination)
 TEST(Analysis, PoAUndefinedWithoutPne)
 {
     EXPECT_FALSE(price_of_anarchy(matching_pennies()).has_value());
+}
+
+// best_response and is_best_response answer from one probe without building
+// the set; they must agree with best_response_set on every profile,
+// including exact ties and near-ties on both sides of the 1e-9 tie window.
+TEST(Analysis, BestResponsesAgreeWithTheSetOnRandomGames)
+{
+    ga::common::Rng rng{2007};
+    const std::vector<double> offsets{0.0, 1e-10, 2e-10, 1e-8, -1e-10, 0.5};
+    int tied = 0;
+    int near_tie_excluded = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int n = 2 + static_cast<int>(rng.below(3));
+        std::vector<int> actions;
+        std::size_t profiles = 1;
+        for (int i = 0; i < n; ++i) {
+            actions.push_back(1 + static_cast<int>(rng.below(4)));
+            profiles *= static_cast<std::size_t>(actions.back());
+        }
+        std::vector<std::vector<double>> costs(static_cast<std::size_t>(n));
+        for (auto& tensor : costs) {
+            for (std::size_t p = 0; p < profiles; ++p) {
+                tensor.push_back(static_cast<double>(rng.below(3)) +
+                                 offsets[rng.below(offsets.size())]);
+            }
+        }
+        const Matrix_game game{"random", actions, costs};
+        for_each_profile(game, [&](const Pure_profile& pi) {
+            for (int i = 0; i < n; ++i) {
+                const std::vector<int> set = best_response_set(game, i, pi);
+                EXPECT_EQ(best_response(game, i, pi), set.front()) << "trial " << trial;
+                if (set.size() > 1) ++tied;
+                for (const double eps : {1e-9, 0.0, 1e-7}) {
+                    const std::vector<int> set_eps = best_response_set(game, i, pi, eps);
+                    const int played = pi[static_cast<std::size_t>(i)];
+                    const bool member =
+                        std::find(set_eps.begin(), set_eps.end(), played) != set_eps.end();
+                    EXPECT_EQ(is_best_response(game, i, pi, eps), member) << "trial " << trial;
+                    if (eps == 1e-9 && set_eps.size() < best_response_set(game, i, pi, 1e-7).size())
+                        ++near_tie_excluded;
+                }
+                Pure_profile out_of_range = pi;
+                out_of_range[static_cast<std::size_t>(i)] = -1;
+                EXPECT_FALSE(is_best_response(game, i, out_of_range));
+                out_of_range[static_cast<std::size_t>(i)] = game.n_actions(i);
+                EXPECT_FALSE(is_best_response(game, i, out_of_range));
+            }
+        });
+    }
+    EXPECT_GT(tied, 0);
+    EXPECT_GT(near_tie_excluded, 0);
+}
+
+TEST(Analysis, BestResponseIsLowestIndexWithinTheWindowOfTheFinalMinimum)
+{
+    // Action 0 falls out of the window once action 2 lowers the minimum, but
+    // action 1 stays inside it: the canonical response is 1, not 2.
+    const Matrix_game game{"near-ties", {3, 1}, {{1.0, 1.0 - 0.5e-9, 1.0 - 1.2e-9}, {0, 0, 0}}};
+    EXPECT_EQ(best_response_set(game, 0, {0, 0}), (std::vector<int>{1, 2}));
+    EXPECT_EQ(best_response(game, 0, {0, 0}), 1);
+    EXPECT_FALSE(is_best_response(game, 0, {0, 0}));
+    EXPECT_TRUE(is_best_response(game, 0, {1, 0}));
+}
+
+/// Counts cost evaluations, to show an out-of-range action is refused
+/// before any.
+class Counting_game final : public Strategic_game {
+public:
+    int n_agents() const override { return 2; }
+    int n_actions(ga::common::Agent_id) const override { return 2; }
+    double cost(ga::common::Agent_id, const Pure_profile&) const override
+    {
+        ++calls;
+        return 0.0;
+    }
+    mutable int calls = 0;
+};
+
+TEST(Analysis, OutOfRangePlayedActionIsNeverABestResponse)
+{
+    const Counting_game game;
+    EXPECT_FALSE(is_best_response(game, 0, {2, 0}));
+    EXPECT_FALSE(is_best_response(game, 1, {0, -1}));
+    EXPECT_EQ(game.calls, 0);
+    EXPECT_TRUE(is_best_response(game, 0, {1, 0}));
+    EXPECT_EQ(game.calls, 2);
 }
 
 // ---------------------------------------------------------------- mixed

@@ -115,6 +115,144 @@ TEST(VectorCommit, SpotRevealRoundTripAndProofBound)
     EXPECT_FALSE(decode_spot_reveal(common::bytes_of("garbage"), 8).has_value());
 }
 
+// ---------------------------------------- Vector opening differential
+
+/// The tree-object method of opening a vector: build a Merkle_tree over the
+/// leaf_payload bytes of every recomputed commitment and compare roots.
+bool opens_vector_by_tree(const Batch_root& root, const Batch_reveal& reveal)
+{
+    if (reveal.openings.size() != root.k || reveal.openings.empty()) return false;
+    std::vector<common::Bytes> leaves;
+    for (std::size_t j = 0; j < reveal.openings.size(); ++j) {
+        leaves.push_back(leaf_payload(static_cast<int>(j), crypto::recommit(reveal.openings[j])));
+    }
+    return crypto::Merkle_tree{leaves}.root() == root.root;
+}
+
+/// The copying decoder: every opening blob is copied out before parsing.
+std::optional<Batch_reveal> decode_batch_reveal_by_copy(const common::Bytes& bytes,
+                                                        int expected_k)
+{
+    try {
+        common::Byte_reader reader{bytes};
+        const std::uint32_t count = reader.get_u32();
+        if (count != static_cast<std::uint32_t>(expected_k)) return std::nullopt;
+        Batch_reveal value;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const common::Bytes opening_bytes = reader.get_bytes();
+            if (opening_bytes.size() > 64 + 8) return std::nullopt;
+            common::Byte_reader opening_reader{opening_bytes};
+            crypto::Opening opening = crypto::decode_opening(opening_reader);
+            if (!opening_reader.exhausted()) return std::nullopt;
+            value.openings.push_back(std::move(opening));
+        }
+        if (!reader.exhausted()) return std::nullopt;
+        return value;
+    } catch (const common::Decode_error&) {
+        return std::nullopt;
+    }
+}
+
+Batch_reveal random_reveal(int k, Rng& rng)
+{
+    Batch_reveal reveal;
+    for (int j = 0; j < k; ++j) {
+        common::Bytes payload(rng.below(33));
+        for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.below(256));
+        reveal.openings.push_back(crypto::commit(payload, rng).opening);
+    }
+    return reveal;
+}
+
+Batch_root root_by_tree(const Batch_reveal& reveal)
+{
+    std::vector<common::Bytes> leaves;
+    for (std::size_t j = 0; j < reveal.openings.size(); ++j) {
+        leaves.push_back(leaf_payload(static_cast<int>(j), crypto::recommit(reveal.openings[j])));
+    }
+    Batch_root root;
+    root.k = static_cast<std::uint32_t>(reveal.openings.size());
+    root.root = crypto::Merkle_tree{leaves}.root();
+    return root;
+}
+
+TEST(VectorCommit, OpensVectorMatchesTreeMethodOnRandomReveals)
+{
+    Rng rng{1414};
+    int accepted = 0;
+    int rejected = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const int k = 1 + static_cast<int>(rng.below(k_max_batch));
+        Batch_reveal reveal = random_reveal(k, rng);
+        Batch_root root = root_by_tree(reveal);
+        const auto j = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(k)));
+        switch (rng.below(7)) {
+        case 0: break; // honest
+        case 1: reveal.openings[j].payload.push_back(0x01); break;
+        case 2: reveal.openings[j].nonce[rng.below(32)] ^= 0x80; break;
+        case 3: // reordered positions (the index binding must catch it)
+            if (k > 1) {
+                std::swap(reveal.openings[j], reveal.openings[(j + 1) % reveal.openings.size()]);
+            }
+            break;
+        case 4: root.root[rng.below(32)] ^= 0x01; break;
+        case 5: root.k += 1; break;
+        default: reveal.openings.pop_back(); break;
+        }
+        const bool expected = opens_vector_by_tree(root, reveal);
+        EXPECT_EQ(opens_vector(root, reveal), expected) << "trial " << trial << " k " << k;
+        (expected ? accepted : rejected) += 1;
+
+        const auto wire = encode(reveal);
+        const auto decoded = decode_batch_reveal(wire, k);
+        const auto by_copy = decode_batch_reveal_by_copy(wire, k);
+        ASSERT_EQ(decoded.has_value(), by_copy.has_value()) << "trial " << trial;
+        if (decoded) {
+            ASSERT_EQ(decoded->openings.size(), by_copy->openings.size());
+            for (std::size_t p = 0; p < decoded->openings.size(); ++p) {
+                EXPECT_EQ(decoded->openings[p].nonce, by_copy->openings[p].nonce);
+                EXPECT_EQ(decoded->openings[p].payload, by_copy->openings[p].payload);
+            }
+            EXPECT_EQ(opens_vector(root, *decoded), expected) << "trial " << trial;
+        }
+    }
+    EXPECT_GT(accepted, 40);
+    EXPECT_GT(rejected, 40);
+}
+
+TEST(VectorCommit, OpeningBlobBoundIsInclusive)
+{
+    // A 32-byte nonce plus a 32-byte payload encodes to exactly the 72-byte
+    // bound (64 + two length prefixes); one more payload byte exceeds it.
+    Rng rng{15};
+    for (const std::size_t payload_len : {std::size_t{32}, std::size_t{33}}) {
+        Batch_reveal reveal;
+        reveal.openings.push_back(crypto::commit(common::Bytes(payload_len, 0x7e), rng).opening);
+        reveal.openings.push_back(crypto::commit(common::Bytes(4, 0x01), rng).opening);
+        ASSERT_EQ(crypto::encode(reveal.openings[0]).size(), 8 + 32 + payload_len);
+        const auto wire = encode(reveal);
+        const auto decoded = decode_batch_reveal(wire, 2);
+        EXPECT_EQ(decoded.has_value(), payload_len == 32) << "payload " << payload_len;
+        EXPECT_EQ(decoded.has_value(), decode_batch_reveal_by_copy(wire, 2).has_value());
+        if (decoded) {
+            EXPECT_TRUE(opens_vector(root_by_tree(reveal), *decoded));
+        }
+    }
+}
+
+TEST(VectorCommit, MoreOpeningsThanTheBatchBoundNeverOpen)
+{
+    // A well-formed vector one past k_max_batch: the tree method would accept
+    // it, the bounded opening refuses it before touching any position.
+    Rng rng{16};
+    const Batch_reveal reveal = random_reveal(k_max_batch + 1, rng);
+    const Batch_root root = root_by_tree(reveal);
+    ASSERT_TRUE(opens_vector_by_tree(root, reveal));
+    EXPECT_FALSE(opens_vector(root, reveal));
+    const Batch_reveal at_bound = random_reveal(k_max_batch, rng);
+    EXPECT_TRUE(opens_vector(root_by_tree(at_bound), at_bound));
+}
+
 // ------------------------------------------------------- Reference cascade
 
 TEST(ReferenceCascade, EveryStepIsTheBestResponseProfile)
